@@ -16,9 +16,10 @@ from .topology import (CutResult, CycleAnalysis, CycleClassification,
                        TopologyError, are_homotopic, build_Ce, classify_cycle,
                        cut_along, flip, induced_embedding, induced_genus,
                        same_relative_orientation, total_genus)
-from .genus_search import (BudgetExceeded, EmbedDecision, GenusProfile,
-                           Surface, cached_profile, combined_minima,
-                           embeddable_in, genus_via_blocks, min_euler_genus)
+from .genus_search import (BudgetError, BudgetExceeded, EmbedDecision,
+                           GenusProfile, SearchCheckError, Surface,
+                           cached_profile, combined_minima, embeddable_in,
+                           genus_via_blocks, min_euler_genus)
 from .certify import (CertificationOutcome, ExclusionCertificate, MinorWitness,
                       blocks_are_excluded_minors, certificate_from_json,
                       certificate_to_json, certify_excluded_minor,

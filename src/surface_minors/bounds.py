@@ -76,9 +76,6 @@ class Log2Interval:
         assert c >= 0
         return Log2Interval(self.lo * c, self.hi * c)
 
-    def definitely_leq(self, other: "Log2Interval") -> bool:
-        return self.hi <= other.lo
-
     def overlaps_within(self, other: "Log2Interval", tol: Fraction) -> bool:
         return abs(self.midpoint_fraction() - other.midpoint_fraction()) \
             <= tol + self.width + other.width
@@ -169,9 +166,6 @@ class BoundValue:
         elif isinstance(self.exact, int) and self.exact > 0:
             out["log2"] = math.log2(self.exact)
         return out
-
-
-EXACT_LOG2_CAP = 10 ** 6  # exact big-int mode only below this many bits
 
 
 @dataclass(frozen=True)

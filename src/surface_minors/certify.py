@@ -23,7 +23,7 @@ from .topology import classify_cycle
 from .structure import enumerate_cycles
 
 
-PRUNING_VERSION = "face-bound-v1"
+PRUNING_VERSION = "girth-face-bound-v2"
 
 
 class CertificationError(ValueError):

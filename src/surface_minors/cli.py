@@ -258,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{default_budget()})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (operations are pure; this build runs "
-                            "them on one worker)")
         if embedding:
             p.add_argument("--embedding", help="embedding JSON file "
                            "(default: sorted rotations, positive signatures)")
@@ -319,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="the bound-function tower at genus g")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--exact-cap", type=int, default=None,
-                   help="bit cap for exact big-integer values (values above "
-                        "the cap stay in log2 form)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bounds)
 
@@ -335,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # the parser reads SURFACE_MINORS_BUDGET for its help text
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (GraphError, EmbeddingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

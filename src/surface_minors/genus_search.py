@@ -6,9 +6,24 @@ equivalent to one with positive tree signatures, and the all-positive
 pattern covers exactly the orientable classes).  Rotations are assigned
 vertex by vertex in BFS order; the rotation of the start vertex is only
 enumerated up to reversal, which quotients the global mirror symmetry.
-A partial assignment is pruned by the face lower bound: faces already
-closed plus (remaining traversals / 3) can only overestimate the final
-face count.
+
+Faces are built incrementally, face by face as in G. Brinkmann, "A
+practical algorithm for the computation of the genus" (Ars Math.
+Contemp., 2022).  A face is a pair of orbits of the successor
+permutation on (dart, sense) states, and the successor of a state is
+fixed once the vertex its dart enters has a rotation.  Placing a vertex
+of degree d therefore links 2d states: each link closes an open walk
+into an orbit or joins two walks.  Walk ends and lengths live in flat
+arrays and are undone in reverse on backtrack, so a child costs O(d)
+rather than a re-trace of all 4m states.
+
+A partial assignment is pruned by a genus lower bound: the faces
+already closed plus (open traversals // min_face) can only overestimate
+the final face count, where min_face is a lower bound on the length of
+every face.  It is 3 in a simple graph with at least two edges, and the
+girth when every vertex has degree at least 2: a facial walk turns
+straight back only at a degree-1 vertex, so otherwise every face
+contains a cycle.
 
 The pruning is verified against an unpruned oracle in the test suite on
 every connected graph with at most eight edges.
@@ -27,14 +42,22 @@ from .embedding import Embedding
 DEFAULT_BUDGET = 5_000_000
 
 
+class BudgetError(ValueError):
+    """SURFACE_MINORS_BUDGET is set but is not a positive integer."""
+
+
 def default_budget() -> int:
+    """The search budget from SURFACE_MINORS_BUDGET, else DEFAULT_BUDGET."""
     env = os.environ.get("SURFACE_MINORS_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise BudgetError(f"SURFACE_MINORS_BUDGET must be a positive integer, got {env!r}")
+    return value
 
 
 class BudgetExceeded(Exception):
@@ -43,6 +66,11 @@ class BudgetExceeded(Exception):
     def __init__(self, message: str, explored: int):
         super().__init__(message)
         self.explored = explored
+
+
+class SearchCheckError(RuntimeError):
+    """A search result failed its own re-verification (a program bug,
+    raised explicitly so that the check also runs under ``python -O``)."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +131,13 @@ class GenusProfile:
 
 
 class _SearchSpace:
-    """Dart tables for one graph, reused across all embeddings tried."""
+    """Dart tables and rotation lists for one graph, reused across all
+    signature patterns and embeddings tried.
+
+    Dart ``2i`` runs along edge i from its smaller to its larger end, dart
+    ``2i + 1`` back.  A traversal state ``2d + o`` is dart d walked in
+    sense o (0 = positive); there are 4m states.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -131,14 +165,22 @@ class _SearchSpace:
         self.vertex_order = order
         self.out_darts = {v: tuple(self._dart(v, w) for w in graph.neighbors(v))
                           for v in graph.vertices}
-        self.min_face = 3 if self.m >= 2 else 2
+        self.rotations = {v: self._rotations_at(v, fixed=(i == 0))
+                          for i, v in enumerate(order)}
+        # a lower bound on every face length (see the module docstring)
+        if self.m < 2:
+            self.min_face = 2
+        elif all(len(ds) >= 2 for ds in self.out_darts.values()):
+            self.min_face = graph.girth()
+        else:
+            self.min_face = 3
 
     def _dart(self, v: int, w: int) -> int:
         e = edge_key(v, w)
         i = self.edge_index[e]
         return 2 * i if e[0] == v else 2 * i + 1
 
-    def rotations_at(self, v: int, fixed: bool) -> list[tuple[int, ...]]:
+    def _rotations_at(self, v: int, fixed: bool) -> list[tuple[int, ...]]:
         """Cyclic orders at v as dart tuples; with ``fixed`` only one of
         each mirror pair is kept (start-vertex symmetry reduction)."""
         ds = self.out_darts[v]
@@ -155,74 +197,105 @@ class _SearchSpace:
             out.append(rot)
         return out
 
+    def choices(self, v: int, neg: list[bool]) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+        """Each rotation at v with the (state, successor) pairs it fixes
+        under the edge signs ``neg``: a state entering v along dart d
+        continues on the rotation neighbour of the reverse dart, in the
+        sense flipped by the sign of d's edge."""
+        out = []
+        for rot in self.rotations[v]:
+            k = len(rot)
+            pairs = []
+            for j, r in enumerate(rot):
+                d = r ^ 1
+                flip = neg[r >> 1]
+                for o in (0, 1):
+                    o2 = o ^ flip
+                    d2 = rot[(j + 1) % k] if o2 == 0 else rot[j - 1]
+                    pairs.append((2 * d + o, 2 * d2 + o2))
+            out.append((rot, tuple(pairs)))
+        return tuple(out)
 
-def _trace_genus(space: _SearchSpace, rot_next: list[int], rot_prev: list[int],
-                 neg: list[bool], assigned: set[int],
-                 partial: bool) -> tuple[int, int]:
-    """(closed faces, traversals used by them) over the currently assigned
-    rotations.  With ``partial`` False every vertex is assigned and the
-    count is total."""
-    m = space.m
-    nstates = 4 * m
-    succ = [-1] * nstates
-    heads = [0] * (2 * m)
-    for i, (u, v) in enumerate(space.edges):
-        heads[2 * i] = v
-        heads[2 * i + 1] = u
-    for d in range(2 * m):
-        w = heads[d]
-        if partial and w not in assigned:
-            continue
-        r = d ^ 1
-        for o in (0, 1):
-            o2 = o ^ neg[d >> 1]
-            d2 = rot_next[r] if o2 == 0 else rot_prev[r]
-            succ[2 * d + o] = 2 * d2 + o2
-    seen = bytearray(nstates)
-    orbits = 0
-    used = 0
-    for s0 in range(nstates):
-        if seen[s0] or succ[s0] < 0:
-            continue
-        s = s0
-        length = 0
-        closed = True
-        while not seen[s]:
-            seen[s] = 1
-            length += 1
-            nxt = succ[s]
-            if nxt < 0:
-                closed = False
-                break
-            s = nxt
-        if closed and s == s0:
-            orbits += 1
-            used += length
-    return orbits, used
+
+class _FaceTracker:
+    """Facial orbits of a partial successor permutation, kept up to date
+    link by link.
+
+    Linking state s to its successor t fixes one arc of the permutation,
+    so the fixed arcs always form closed orbits plus disjoint open walks.
+    ``start_of[e]`` is the first state of the open walk ending at e;
+    ``end_of[s]`` and ``length[s]`` are the last state and the number of
+    states of the open walk starting at s.  Only entries at walk ends are
+    kept current; the stale ones are exactly what undo needs.
+    """
+
+    __slots__ = ("start_of", "end_of", "length", "orbits", "used")
+
+    def __init__(self, nstates: int):
+        self.start_of = list(range(nstates))
+        self.end_of = list(range(nstates))
+        self.length = [1] * nstates
+        self.orbits = 0  # closed orbits
+        self.used = 0    # states on closed orbits
+
+    def link(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Fix succ(s) = t for each pair; s must end an open walk and t
+        start one.  A link within one walk closes it into an orbit."""
+        start_of, end_of, length = self.start_of, self.end_of, self.length
+        closed = closed_len = 0
+        for s, t in pairs:
+            a = start_of[s]
+            if a == t:
+                closed += 1
+                closed_len += length[t]
+            else:
+                b = end_of[t]
+                end_of[a] = b
+                start_of[b] = a
+                length[a] += length[t]
+        self.orbits += closed
+        self.used += closed_len
+
+    def unlink(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Undo the matching ``link`` call; calls must nest."""
+        start_of, end_of, length = self.start_of, self.end_of, self.length
+        closed = closed_len = 0
+        for s, t in reversed(pairs):
+            a = start_of[s]
+            if a == t:
+                closed += 1
+                closed_len += length[t]
+            else:
+                b = end_of[t]
+                end_of[a] = s
+                start_of[b] = t
+                length[a] -= length[t]
+        self.orbits -= closed
+        self.used -= closed_len
 
 
 def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
                     best_start: int, counter: list[int], budget: int) -> tuple[int, dict | None]:
     """Branch and bound over rotations for one fixed signature pattern.
     Returns (best genus found, rotation dict of a witness) with genus
-    taken below ``best_start`` only."""
-    graph = space.graph
+    taken below ``best_start`` only.
+
+    Placing the rotation at a vertex links the successor of every state
+    entering it, so each child costs O(deg v), not a re-trace of all 4m
+    states.
+    """
     neg = [signature[e] < 0 for e in space.edges]
     order = space.vertex_order
     n = len(order)
     m = space.m
-    rot_next = [0] * (2 * m)
-    rot_prev = [0] * (2 * m)
+    base = 2 - space.n + m  # Euler genus = base - faces
+    min_face = space.min_face
+    faces = _FaceTracker(4 * m)
+    link, unlink = faces.link, faces.unlink
+    options_at: list[tuple | None] = [None] * n  # per vertex, built on first visit
     best = best_start
     best_rot: dict | None = None
-    chosen: dict[int, tuple[int, ...]] = {}
-    assigned: set[int] = set()
-
-    def assign(v: int, rot: tuple[int, ...]):
-        k = len(rot)
-        for j, d in enumerate(rot):
-            rot_next[d] = rot[(j + 1) % k]
-            rot_prev[d] = rot[(j - 1) % k]
+    chosen: list[tuple[int, ...]] = [()] * n
 
     def rec(idx: int):
         nonlocal best, best_rot
@@ -230,30 +303,25 @@ def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
         if counter[0] > budget:
             raise BudgetExceeded("rotation search budget exhausted", counter[0])
         if idx == n:
-            faces, _ = _trace_genus(space, rot_next, rot_prev, neg, assigned, False)
-            assert faces % 2 == 0
-            genus = 2 - (space.n - m + faces // 2)
+            if faces.orbits % 2:
+                raise SearchCheckError(f"odd number of facial orbits ({faces.orbits})")
+            genus = base - faces.orbits // 2
             if genus < best:
                 best = genus
-                best_rot = dict(chosen)
+                best_rot = dict(zip(order, chosen))
             return
-        v = order[idx]
-        for rot in space.rotations_at(v, fixed=(idx == 0)):
-            assign(v, rot)
-            chosen[v] = rot
-            assigned.add(v)
-            if idx >= 1:
-                orbits, used = _trace_genus(space, rot_next, rot_prev, neg, assigned, True)
-                closed_faces = orbits // 2
-                remaining = 2 * m - used // 2
-                bound = 2 - (space.n - m + closed_faces + remaining // space.min_face)
-                if bound >= best:
-                    assigned.discard(v)
-                    del chosen[v]
-                    continue
-            rec(idx + 1)
-            assigned.discard(v)
-            del chosen[v]
+        options = options_at[idx]
+        if options is None:
+            options = options_at[idx] = space.choices(order[idx], neg)
+        for rot, pairs in options:
+            link(pairs)
+            # each face is two orbits, one per sense; the open traversals
+            # can still form at most (open length) // min_face faces
+            if idx == 0 or base - (faces.orbits // 2
+                                   + (2 * m - faces.used // 2) // min_face) < best:
+                chosen[idx] = rot
+                rec(idx + 1)
+            unlink(pairs)
 
     rec(0)
     return best, best_rot
@@ -331,7 +399,7 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
         nonor_wit = Embedding.build(graph, _rotation_dict(space, nonor_rot),
                                     {e: s for e, s in nonor_sig.items()})
     elif cotree and exact:
-        raise AssertionError("nonorientable pattern sweep found no embedding")
+        raise SearchCheckError("nonorientable pattern sweep found no embedding")
 
     profile = GenusProfile(
         orientable_min=orient_best,
@@ -341,12 +409,24 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
         exact=exact,
         explored=counter[0],
     )
-    assert profile.orientable_witness.euler_genus() == profile.orientable_min
-    assert profile.orientable_min % 2 == 0, "orientable Euler genus must be even"
-    if profile.nonorientable_witness is not None:
-        assert profile.nonorientable_witness.euler_genus() == profile.nonorientable_min
-        assert not profile.nonorientable_witness.is_orientable()
+    if profile.orientable_min % 2:
+        raise SearchCheckError("orientable Euler genus must be even")
+    _check_witnesses(profile)
     return profile
+
+
+def _check_witnesses(profile: GenusProfile) -> None:
+    """Re-evaluate both witnesses against the claimed minima."""
+    wit = profile.orientable_witness
+    if not wit.is_orientable() or wit.euler_genus() != profile.orientable_min:
+        raise SearchCheckError(f"orientable witness has Euler genus {wit.euler_genus()}, "
+                               f"claimed {profile.orientable_min}")
+    wit = profile.nonorientable_witness
+    if wit is not None and (wit.is_orientable()
+                            or wit.euler_genus() != profile.nonorientable_min):
+        raise SearchCheckError(f"nonorientable witness has Euler genus {wit.euler_genus()} "
+                               f"(orientable: {wit.is_orientable()}), "
+                               f"claimed {profile.nonorientable_min}")
 
 
 def _merge_at_cutvertices(graph: Graph, parts: list[Embedding]) -> Embedding:
@@ -412,11 +492,7 @@ def profile_via_blocks(graph: Graph, budget: int | None = None) -> GenusProfile:
                     for i, p in enumerate(profs)])
     prof = GenusProfile(orient, nonor, orient_wit, nonor_wit,
                         exact=all(p.exact for p in profs))
-    assert prof.orientable_witness.euler_genus() == orient
-    assert prof.orientable_witness.is_orientable()
-    if nonor_wit is not None:
-        assert nonor_wit.euler_genus() == nonor
-        assert not nonor_wit.is_orientable()
+    _check_witnesses(prof)
     return prof
 
 

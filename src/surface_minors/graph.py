@@ -162,6 +162,29 @@ class Graph:
                 queue = nxt
         return tuple(sorted(tree))
 
+    def girth(self) -> int | None:
+        """Length of a shortest cycle, or None for a forest.  A BFS from
+        each root meets every cycle through the root at a non-tree edge,
+        so the minimum over roots is exact."""
+        best = None
+        for root in self.vertices:
+            dist = {root: 0}
+            parent = {root: None}
+            queue = [root]
+            for u in queue:
+                if best is not None and 2 * dist[u] >= best:
+                    break
+                for w in self._adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        queue.append(w)
+                    elif parent[u] != w:
+                        length = dist[u] + dist[w] + 1
+                        if best is None or length < best:
+                            best = length
+        return best
+
     # -- conversions ------------------------------------------------------
 
     def to_nx(self) -> nx.Graph:

@@ -23,11 +23,10 @@ from surface_minors.graph import Graph, edge_key
 # ---------------------------------------------------------------------------
 
 
-def naive_face_count(graph: Graph, rotation: dict[int, tuple[int, ...]],
-                     signature: dict[tuple[int, int], int]) -> int:
-    """Count faces by walking (tail, head, sense) states with dicts."""
-    if graph.m == 0:
-        return 1
+def naive_orbit_lengths(graph: Graph, rotation: dict[int, tuple[int, ...]],
+                        signature: dict[tuple[int, int], int]) -> list[int]:
+    """Lengths of the orbits of (tail, head, sense) states, walked with
+    dicts.  Each face is two orbits of its length, one per sense."""
     index = {}
     for v, order in rotation.items():
         for i, w in enumerate(order):
@@ -35,12 +34,14 @@ def naive_face_count(graph: Graph, rotation: dict[int, tuple[int, ...]],
     states = set()
     for u, v in graph.edges:
         states.update({(u, v, 1), (u, v, -1), (v, u, 1), (v, u, -1)})
-    faces = 0
+    lengths = []
     while states:
         start = min(states)
         cur = start
+        length = 0
         while True:
             states.discard(cur)
+            length += 1
             u, v, sense = cur
             sense2 = sense * signature[edge_key(u, v)]
             order = rotation[v]
@@ -49,9 +50,18 @@ def naive_face_count(graph: Graph, rotation: dict[int, tuple[int, ...]],
             cur = (v, w, sense2)
             if cur == start:
                 break
-        faces += 1
-    assert faces % 2 == 0
-    return faces // 2
+        lengths.append(length)
+    return lengths
+
+
+def naive_face_count(graph: Graph, rotation: dict[int, tuple[int, ...]],
+                     signature: dict[tuple[int, int], int]) -> int:
+    """Count faces by walking (tail, head, sense) states with dicts."""
+    if graph.m == 0:
+        return 1
+    orbits = len(naive_orbit_lengths(graph, rotation, signature))
+    assert orbits % 2 == 0
+    return orbits // 2
 
 
 def naive_genus(graph: Graph, rotation, signature) -> int:
@@ -59,11 +69,9 @@ def naive_genus(graph: Graph, rotation, signature) -> int:
     return 2 - (graph.n - graph.m + f)
 
 
-def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
-    """(orientable minimum, nonorientable minimum) by full enumeration of
-    every rotation system against every cotree signature pattern, with no
-    pruning or symmetry reduction."""
-    assert graph.is_connected()
+def all_rotation_signatures(graph: Graph):
+    """Every (rotation, signature, orientable) with signatures +1 on a
+    spanning tree: the full product, no pruning or symmetry reduction."""
     tree = set(graph.spanning_tree())
     cotree = [e for e in graph.edges if e not in tree]
     per_vertex = []
@@ -73,19 +81,28 @@ def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
             per_vertex.append([ns])
         else:
             per_vertex.append([(ns[0],) + p for p in itertools.permutations(ns[1:])])
-    orient = None
-    nonor = None
     for rots in itertools.product(*per_vertex):
         rotation = dict(zip(graph.vertices, rots))
         for pattern in itertools.product((1, -1), repeat=len(cotree)):
             signature = {e: 1 for e in graph.edges}
             for e, s in zip(cotree, pattern):
                 signature[e] = s
-            g = naive_genus(graph, rotation, signature)
-            if all(s > 0 for s in pattern):
-                orient = g if orient is None else min(orient, g)
-            else:
-                nonor = g if nonor is None else min(nonor, g)
+            yield rotation, signature, all(s > 0 for s in pattern)
+
+
+def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
+    """(orientable minimum, nonorientable minimum) by full enumeration of
+    every rotation system against every cotree signature pattern, with no
+    pruning or symmetry reduction."""
+    assert graph.is_connected()
+    orient = None
+    nonor = None
+    for rotation, signature, orientable in all_rotation_signatures(graph):
+        g = naive_genus(graph, rotation, signature)
+        if orientable:
+            orient = g if orient is None else min(orient, g)
+        else:
+            nonor = g if nonor is None else min(nonor, g)
     return orient, nonor
 
 
