@@ -259,9 +259,13 @@ class Embedding:
         return _compile(self).face_count()
 
     def faces(self) -> tuple[FaceWalk, ...]:
-        """All facial walks, one per face, deterministically ordered."""
-        walks = _compile(self).face_walks()
-        return tuple(sorted(walks, key=lambda w: w.key))
+        """All facial walks, one per face, deterministically ordered.
+        Traced once per embedding instance."""
+        return self._sorted_faces
+
+    @cached_property
+    def _sorted_faces(self) -> tuple[FaceWalk, ...]:
+        return tuple(sorted(_compile(self).face_walks(), key=lambda w: w.key))
 
     def euler_genus(self) -> int:
         """2 - (V - E + F).  Requires a connected graph."""

@@ -106,8 +106,7 @@ class GenusProfile:
     ``nonorientable_min`` is None for forests (a forest has no
     nonorientable embedding at all).  Witness embeddings re-evaluate to
     the claimed genus.  ``exact`` is False when the search budget ran out,
-    in which case the minima are upper bounds and ``genus_lower_bound``
-    is what pruning established.
+    in which case the minima are upper bounds, each with its witness.
     """
 
     orientable_min: int
@@ -115,7 +114,6 @@ class GenusProfile:
     orientable_witness: Embedding | None
     nonorientable_witness: Embedding | None
     exact: bool = True
-    genus_lower_bound: int = 0
     explored: int = 0
 
     @property
@@ -400,6 +398,13 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
                                     {e: s for e, s in nonor_sig.items()})
     elif cotree and exact:
         raise SearchCheckError("nonorientable pattern sweep found no embedding")
+    elif cotree:
+        # the budget ran out before any nonorientable pattern finished:
+        # a negative cotree edge makes its fundamental cycle one-sided,
+        # so the orientable witness with one flipped sign bounds the
+        # nonorientable minimum from above
+        nonor_wit = Embedding.build(graph, orient_wit.rot, {cotree[0]: -1})
+        nonor_best = nonor_wit.euler_genus()
 
     profile = GenusProfile(
         orientable_min=orient_best,

@@ -17,7 +17,7 @@ import networkx as nx
 from .graph import Edge, Graph, GraphError, edge_key
 from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle
 from .topology import (CycleAnalysis, TopologyError, are_homotopic,
-                       classify_cycle, _cycle_edges)
+                       classify_cycle, _cycle_edges, _subgraph_as_cycle)
 
 
 class StructureError(ValueError):
@@ -812,24 +812,6 @@ def closest_enclosing_cycle(graph: Graph, emb: Embedding, outer: Sequence[int],
         raise StructureError("closest_enclosing_cycle: hole boundary is not a "
                              "simple cycle (pinched region)")
     return ClosestCycle(cyc, None)
-
-
-def _subgraph_as_cycle(sub: Graph) -> tuple[int, ...] | None:
-    if sub.n == 0 or sub.m != sub.n or any(sub.degree(v) != 2 for v in sub.vertices):
-        return None
-    if not sub.is_connected():
-        return None
-    start = min(sub.vertices)
-    walk = [start]
-    prev = None
-    while True:
-        nxts = [w for w in sub.neighbors(walk[-1]) if w != prev]
-        nxt = nxts[0] if nxts else prev
-        if nxt == start:
-            break
-        prev = walk[-1]
-        walk.append(nxt)
-    return tuple(walk) if len(walk) == sub.n else None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,19 @@
 Sides of a cycle, separating / contractible status, Int/Ext, cutting
 along cycles, homotopy of cycle pairs, relative orientation, planar
 flipping, and the two-face cycle construction around an interior edge.
+
+Classification counts on the embedding as given.  Local changes on the
+cycle's vertices that make its signature positive are computed as a
+vertex set only; the left/right side of every edge end at the cycle is
+read from the rotations, reversed at the flipped vertices.  A
+union-find over the off-cycle vertices plus one node per side tells
+whether the cycle separates, and labels the vertices and edges of each
+side.  Each side's Euler genus then follows from Euler's formula for
+the piece that cutting along the cycle and capping it with a disk would
+give: the side's vertices and edges, plus the faces of the embedding
+lying on that side, plus the cap.  The normalized embedding and the cut
+graph are built only when a caller asks for them (``normalized``,
+``cut``).
 """
 
 from __future__ import annotations
@@ -98,44 +111,67 @@ def _cycle_edges(cycle: Sequence[int]) -> list[Edge]:
     return [edge_key(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
-def _normalize_on_cycle(emb: Embedding, cycle: tuple[int, ...],
-                        leave_negative_last: bool = False) -> Embedding:
-    """Local changes confined to V(C) making every signature on C positive
-    (two-sided C), or every one positive except the closing edge
-    (one-sided C with ``leave_negative_last``)."""
-    l = len(cycle)
+def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
+                       leave_negative_last: bool = False) -> frozenset[int]:
+    """The vertices of C whose local changes make every signature on C
+    positive (two-sided C), or every one positive except the closing
+    edge (one-sided C with ``leave_negative_last``)."""
     sig = emb.sig
-    want_neg = {(_cycle_edges(cycle)[l - 1]) if leave_negative_last else None}
-    flips: dict[int, bool] = {cycle[0]: False}
-    for i in range(1, l):
-        e = edge_key(cycle[i - 1], cycle[i])
-        cur = sig[e] < 0
-        flips[cycle[i]] = flips[cycle[i - 1]] ^ cur ^ (e in want_neg)
-    closing = edge_key(cycle[l - 1], cycle[0])
-    check = flips[cycle[l - 1]] ^ flips[cycle[0]] ^ (sig[closing] < 0) ^ (closing in want_neg)
-    assert not check, "cycle signature parity does not admit this normal form"
-    vs = {v for v, f in flips.items() if f}
-    return emb.local_change_set(vs) if vs else emb
+    flips = set()
+    flipped = False
+    for i in range(1, len(cycle)):
+        flipped ^= sig[edge_key(cycle[i - 1], cycle[i])] < 0
+        if flipped:
+            flips.add(cycle[i])
+    closing_negative = sig[edge_key(cycle[-1], cycle[0])] < 0
+    if flipped ^ closing_negative != leave_negative_last:
+        raise TopologyError("cycle signature parity does not admit this normal form")
+    return frozenset(flips)
+
+
+def _end_node(cset: set[int], end_side: dict[tuple[int, int], str],
+              u: int, v: int):
+    """The union-find node of edge uv's end at u: u itself off the cycle,
+    else the side the end leaves the cycle on.  Both ends of an edge off
+    C are joined, so either end's root is the edge's side."""
+    return end_side[(u, v)] if u in cset else u
 
 
 @dataclass(frozen=True)
 class CycleAnalysis:
     """classify_cycle's full output: the classification plus the data the
-    other operations need (normalized embedding, per-end sides, pieces)."""
+    other operations need (per-end sides, side labels, and on request
+    the normalized embedding and the cut)."""
 
     graph: Graph
     embedding: Embedding            # original
-    normalized: Embedding           # equivalent, C-positive for two-sided C
     cycle: tuple[int, ...]
     classification: CycleClassification
-    # (vertex-on-C, neighbor) -> "left"/"right" for every non-C edge end
+    # (vertex-on-C, neighbor) -> "left"/"right" for every non-C edge end,
+    # as read in the normalized embedding
     end_side: dict[tuple[int, int], str]
-    cut: CutResult | None           # None for one-sided cycles
-    left_genus: int | None
-    right_genus: int | None
+    flips: frozenset[int]           # local changes on V(C) that normalize C
+    # union-find root of every off-cycle vertex and of the "left" and
+    # "right" end nodes; None for one-sided cycles
+    roots: dict | None = None
+    left_genus: int | None = None
+    right_genus: int | None = None
 
     def __hash__(self):  # pragma: no cover
         return id(self)
+
+    @cached_property
+    def normalized(self) -> Embedding:
+        """The equivalent embedding positive on C (one-sided C: on all of
+        C but its closing edge)."""
+        return self.embedding.local_change_set(self.flips) if self.flips else self.embedding
+
+    @cached_property
+    def cut(self) -> CutResult:
+        """The cut along C, built on first use."""
+        if self.classification.sidedness == "two-sided":
+            return _cut_two_sided(self.normalized, self.cycle, self.end_side)
+        return _cut_one_sided(self.normalized, self.cycle, self.end_side)
 
     @property
     def is_contractible(self) -> bool:
@@ -146,24 +182,26 @@ class CycleAnalysis:
             raise TopologyError("Int/Ext: cycle is not contractible")
         return self.classification.disk_side
 
+    def _side_root(self, side: str):
+        if self.roots is None:
+            raise TopologyError("sides: cycle is one-sided")
+        return self.roots[side]
+
     def side_vertices(self, side: str) -> frozenset[int]:
-        assert self.cut is not None
-        root = (self.cut.left_ids if side == "left" else self.cut.right_ids)[self.cycle[0]]
-        for comp in self.cut.graph.components():
-            if root in comp:
-                return frozenset(self.cut.origin[v] for v in comp)
-        raise AssertionError("cut piece without its cycle copy")
+        """C and the vertices reached from the given side of C (all of
+        C's component when C does not separate)."""
+        root = self._side_root(side)
+        cset = set(self.cycle)
+        return frozenset(self.cycle) | {v for v in self.graph.vertices
+                                        if v not in cset and self.roots[v] == root}
 
     def side_edges(self, side: str) -> frozenset[Edge]:
-        assert self.cut is not None
-        ids = self.cut.left_ids if side == "left" else self.cut.right_ids
-        root = ids[self.cycle[0]]
-        for comp in self.cut.graph.components():
-            if root in comp:
-                sub = self.cut.graph.subgraph(comp)
-                return frozenset(edge_key(self.cut.origin[u], self.cut.origin[v])
-                                 for u, v in sub.edges)
-        raise AssertionError("cut piece without its cycle copy")
+        """C's edges and the edges reached from the given side of C."""
+        root = self._side_root(side)
+        cset = set(self.cycle)
+        cyc_edges = set(_cycle_edges(self.cycle))
+        return frozenset(e for e in self.graph.edges if e in cyc_edges
+                         or self.roots[_end_node(cset, self.end_side, *e)] == root)
 
     def int_subgraph(self) -> Graph:
         """Int(C) = C together with the bridges on its disk side."""
@@ -197,7 +235,8 @@ class CycleAnalysis:
     def faces_on_side(self, side: str) -> tuple[FaceWalk, ...]:
         """Original faces whose region lies on the given side of C: the
         side piece's faces with one instance of the cut cap removed."""
-        assert self.cut is not None
+        if self.classification.sidedness != "two-sided":
+            raise TopologyError("faces_on_side: cycle is one-sided")
         ids = (self.cut.left_ids if side == "left" else self.cut.right_ids)
         root = ids[self.cycle[0]]
         for piece in self.cut.pieces():
@@ -211,9 +250,10 @@ class CycleAnalysis:
                         continue
                     mapped.append(FaceWalk(tuple((piece.origin[a], piece.origin[b])
                                                  for a, b in w.darts)))
-                assert cap_dropped, "cut piece lost its boundary cap"
+                if not cap_dropped:
+                    raise TopologyError("faces_on_side: cut piece lost its boundary cap")
                 return tuple(sorted(mapped, key=lambda f: f.key))
-        raise AssertionError("cut piece without its cycle copy")
+        raise TopologyError("faces_on_side: cut piece without its cycle copy")
 
 
 def _cap_key(cycle: tuple[int, ...], ids: dict[int, int]) -> tuple[Dart, ...]:
@@ -222,10 +262,10 @@ def _cap_key(cycle: tuple[int, ...], ids: dict[int, int]) -> tuple[Dart, ...]:
     return FaceWalk(darts).key
 
 
-def _interval_sides(emb: Embedding, cycle: tuple[int, ...],
-                    pair_at_closing: bool = True) -> dict[tuple[int, int], str]:
-    """Per edge-end sides along a cycle whose signature is positive on all
-    edges (or all but the closing edge).
+def _end_sides(emb: Embedding, cycle: tuple[int, ...],
+               flips: frozenset[int]) -> dict[tuple[int, int], str]:
+    """Per edge-end sides along a cycle, read in the embedding normalized
+    by the local changes at ``flips`` (whose rotations are reversed).
 
     At the i-th cycle vertex the ends strictly between the incoming and
     the outgoing cycle edge in rotation order are on the left; the rest
@@ -236,17 +276,16 @@ def _interval_sides(emb: Embedding, cycle: tuple[int, ...],
     for i, v in enumerate(cycle):
         prev_v = cycle[(i - 1) % l]
         next_v = cycle[(i + 1) % l]
-        order = emb.rot[v]
+        order = emb.rot[v][::-1] if v in flips else emb.rot[v]
         k = len(order)
         start = order.index(prev_v)
-        j = (start + 1) % k
         current = "left"
-        while order[j] != prev_v:
-            if order[j] == next_v:
+        for j in range(1, k):
+            w = order[(start + j) % k]
+            if w == next_v:
                 current = "right"
             else:
-                side[(v, order[j])] = current
-            j = (j + 1) % k
+                side[(v, w)] = current
     return side
 
 
@@ -254,77 +293,108 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                    outer_face: FaceWalk | None = None) -> CycleAnalysis:
     """Classify a cycle: sidedness, separating, contractible, disk side.
 
-    Signatures on the cycle are normalized internally by local changes
-    confined to its vertices (the embedding is replaced by an equivalent
-    one).  For a contractible cycle in a genus-0 embedding both sides
-    bound disks; the side containing the designated outer face (default:
-    the lexicographically smallest facial walk) is taken as Ext.
+    C is one-sided when its signature product is negative.  Otherwise
+    the local changes that make C positive are found as a vertex set,
+    and each edge end at C is put on the left or the right of C from
+    the rotations (reversed at the flipped vertices).  A union-find
+    joins the off-cycle vertices and the "left"/"right" end nodes along
+    every edge not on C; C separates exactly when the two end nodes stay
+    apart.  A side s with ends has Euler genus
+
+        2 - (l + V_s) + (l + E_s) - (1 + F_s),
+
+    the Euler characteristic of the capped cut piece: l copies of C's
+    vertices and edges, the V_s vertices and E_s edges off C on that
+    side, and the F_s faces of the embedding whose first dart off C lies
+    on that side, plus the cap.  A side with no ends is a disk.  C is
+    contractible when it separates and one side has genus 0.  For a
+    contractible cycle in a genus-0 embedding both sides bound disks;
+    the side containing the designated outer face (default: the
+    lexicographically smallest facial walk) is taken as Ext.
+
+    No embedding is built: the analysis' ``normalized`` embedding and
+    ``cut`` are made on first use.
     """
     if emb.graph != graph:
         raise TopologyError("classify_cycle: embedding is for a different graph")
     cyc = check_cycle(graph, cycle)
     if emb.cycle_signature(cyc) < 0:
         cls = CycleClassification("one-sided", False, False, "none")
-        norm = _normalize_on_cycle(emb, cyc, leave_negative_last=True)
-        return CycleAnalysis(graph, emb, norm, cyc, cls,
-                             _interval_sides(norm, cyc), None, None, None)
+        flips = _normalizing_flips(emb, cyc, leave_negative_last=True)
+        return CycleAnalysis(graph, emb, cyc, cls, _end_sides(emb, cyc, flips), flips)
 
-    norm = _normalize_on_cycle(emb, cyc)
-    end_side = _interval_sides(norm, cyc)
-    cut = _cut_two_sided(norm, cyc, end_side)
-    comps = cut.graph.components()
-    left_root = cut.left_ids[cyc[0]]
-    right_root = cut.right_ids[cyc[0]]
-    separating = not any(left_root in c and right_root in c for c in comps)
+    flips = _normalizing_flips(emb, cyc)
+    end_side = _end_sides(emb, cyc, flips)
+    cset = set(cyc)
+    cyc_edges = set(_cycle_edges(cyc))
+    parent: dict = {v: v for v in graph.vertices if v not in cset}
+    parent["left"] = "left"
+    parent["right"] = "right"
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in graph.edges:
+        if (u, v) not in cyc_edges:
+            a = find(_end_node(cset, end_side, u, v))
+            b = find(_end_node(cset, end_side, v, u))
+            if a != b:
+                parent[a] = b
+    roots = {x: find(x) for x in parent}
+    left, right = roots["left"], roots["right"]
+    separating = left != right
 
     left_genus = right_genus = None
     contractible = False
     disk_side = "none"
     if separating:
-        left_genus = _side_genus(cut, left_root)
-        right_genus = _side_genus(cut, right_root)
+        faces = emb.faces()
+        c_darts = cyc_edges | {(v, u) for u, v in cyc_edges}
+
+        def face_root(face: FaceWalk):
+            # the root of the face's first edge off C; None for a face
+            # made only of C's edges, which lies on a side with no ends
+            for a, b in face.darts:
+                if (a, b) not in c_darts:
+                    return roots[_end_node(cset, end_side, a, b)]
+            return None
+
+        # [vertices, edges, faces] off C on each side
+        count = {left: [0, 0, 0], right: [0, 0, 0]}
+        for v in graph.vertices:
+            if v not in cset and roots[v] in count:
+                count[roots[v]][0] += 1
+        for u, v in graph.edges:
+            if (u, v) not in cyc_edges:
+                r = roots[_end_node(cset, end_side, u, v)]
+                if r in count:
+                    count[r][1] += 1
+        for f in faces:
+            r = face_root(f)
+            if r in count:
+                count[r][2] += 1
+        left_genus, right_genus = (0 if e == 0 else 1 - n + e - f
+                                   for n, e, f in (count[left], count[right]))
         contractible = left_genus == 0 or right_genus == 0
         if contractible:
             if left_genus == 0 and right_genus == 0:
                 # sphere: Ext is the side holding the outer face
-                outer = outer_face.key if outer_face is not None \
-                    else min(f.key for f in emb.faces())
-                disk_side = _side_without_face(cut, cyc, outer)
+                key = outer_face.key if outer_face is not None else faces[0].key
+                outer = next((f for f in faces if f.key == key), None)
+                r = None if outer is None else face_root(outer)
+                if outer is not None and r is None:
+                    # made of C's edges: on a side with no ends
+                    r = left if count[left][1] == 0 else right
+                # Int defaults left when the outer face is on neither side
+                disk_side = "right" if r == left else "left"
             else:
                 disk_side = "left" if left_genus == 0 else "right"
     cls = CycleClassification("two-sided", separating, contractible, disk_side)
-    return CycleAnalysis(graph, emb, norm, cyc, cls, end_side, cut,
+    return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, roots,
                          left_genus, right_genus)
-
-
-def _side_genus(cut: CutResult, root: int) -> int:
-    for piece in cut.pieces():
-        if root in piece.graph.vertices:
-            return sum(induced_embedding(piece.embedding, piece.graph.subgraph(c)).euler_genus()
-                       for c in piece.graph.components())
-    raise AssertionError("missing cut piece")
-
-
-def _side_without_face(cut: CutResult, cycle: tuple[int, ...],
-                       outer_key: tuple[Dart, ...]) -> str:
-    """Which side is the disk (Int): the one NOT containing the outer face."""
-    for side, ids in (("left", cut.left_ids), ("right", cut.right_ids)):
-        root = ids[cycle[0]]
-        for piece in cut.pieces():
-            if root not in piece.graph.vertices:
-                continue
-            cap = _cap_key(cycle, ids)
-            cap_dropped = False
-            for w in piece.embedding.faces():
-                if not cap_dropped and w.key == cap:
-                    cap_dropped = True
-                    continue
-                mapped = FaceWalk(tuple((piece.origin[a], piece.origin[b])
-                                        for a, b in w.darts))
-                if mapped.key == outer_key:
-                    return "right" if side == "left" else "left"
-    # both sides edge-empty and the outer face is C itself: Int defaults left
-    return "left"
 
 
 def _cut_two_sided(norm: Embedding, cycle: tuple[int, ...],
@@ -532,15 +602,7 @@ def cut_along(graph: Graph, emb: Embedding, cycle: Sequence[int]) -> CutResult:
     genus additively; a noncontractible nonseparating cut strictly drops
     the total genus.
     """
-    analysis = classify_cycle(graph, emb, cycle)
-    return cut_for_analysis(analysis)
-
-
-def cut_for_analysis(analysis: CycleAnalysis) -> CutResult:
-    if analysis.classification.sidedness == "two-sided":
-        assert analysis.cut is not None
-        return analysis.cut
-    return _cut_one_sided(analysis.normalized, analysis.cycle, analysis.end_side)
+    return classify_cycle(graph, emb, cycle).cut
 
 
 def total_genus(cut: CutResult) -> int:
@@ -598,12 +660,12 @@ def are_homotopic(graph: Graph, emb: Embedding,
         raise TopologyError("are_homotopic: shared intersection is not a path")
 
     analysis1 = classify_cycle(graph, emb, cyc1)
-    cut1 = cut_for_analysis(analysis1)
+    cut1 = analysis1.cut
     lifted = _lift_cycle(cut1, analysis1, cyc2)
     if lifted is None:
         raise TopologyError("are_homotopic: cycles cross transversally")
     analysis2 = classify_cycle(cut1.graph, cut1.embedding, lifted)
-    cut2 = cut_for_analysis(analysis2)
+    cut2 = analysis2.cut
     origin = {v: cut1.origin[cut2.origin[v]] for v in cut2.graph.vertices}
 
     candidates = []
@@ -783,11 +845,12 @@ def _relative_orientation_bit(graph: Graph, emb: Embedding,
         raise TopologyError("relative orientation: cycles bound no common cylinder")
     # rebuild the cylinder piece with its two caps by cutting both cycles
     analysis1 = classify_cycle(graph, emb, c1)
-    cut1 = cut_for_analysis(analysis1)
+    cut1 = analysis1.cut
     lifted = _lift_cycle(cut1, analysis1, c2)
-    assert lifted is not None
+    if lifted is None:
+        raise TopologyError("relative orientation: second cycle does not lift to the cut")
     analysis2 = classify_cycle(cut1.graph, cut1.embedding, lifted)
-    cut2 = cut_for_analysis(analysis2)
+    cut2 = analysis2.cut
     origin = {v: cut1.origin[cut2.origin[v]] for v in cut2.graph.vertices}
     best = None
     for comp in cut2.graph.components():
@@ -872,7 +935,8 @@ def flip(graph: Graph, emb: Embedding, cycle: Sequence[int],
     signature = {e: (-s if (e[0] in moved) != (e[1] in moved) else s)
                  for e, s in norm.signature}
     out = Embedding.build(graph, rotation, signature)
-    assert out.euler_genus() == 0, "flip failed to stay planar"
+    if out.euler_genus() != 0:
+        raise TopologyError("flip: result is not planar")
     return out
 
 
@@ -890,7 +954,8 @@ def _reverse_arc(order: tuple[int, ...], v: int, interior: Graph,
     seq = [order[(start + j) % k] for j in range(k)]
     fl = [flags[(start + j) % k] for j in range(k)]
     run = fl.index(False)
-    assert all(not f for f in fl[run:]), "interior ends not contiguous at attach vertex"
+    if any(fl[run:]):
+        raise TopologyError("flip: interior ends not contiguous at attach vertex")
     return seq[:run][::-1] + seq[run:]
 
 
@@ -923,14 +988,16 @@ def build_Ce(graph: Graph, emb: Embedding, cycle: Sequence[int],
     f1, f2 = incident
     edges = (f1.edge_set | f2.edge_set) - {ek}
     sub = graph.edge_subgraph(edges)
-    ce = _edges_as_cycle(sub)
+    ce = _subgraph_as_cycle(sub)
     if ce is None:
         raise TopologyError("build_Ce: face union minus the edge is not a cycle")
     return ce
 
 
-def _edges_as_cycle(sub: Graph) -> tuple[int, ...] | None:
-    if sub.m != sub.n or any(sub.degree(v) != 2 for v in sub.vertices):
+def _subgraph_as_cycle(sub: Graph) -> tuple[int, ...] | None:
+    """The vertices of a nonempty connected 2-regular subgraph in walk
+    order from its smallest vertex; None for any other subgraph."""
+    if sub.n == 0 or sub.m != sub.n or any(sub.degree(v) != 2 for v in sub.vertices):
         return None
     if not sub.is_connected():
         return None
@@ -938,11 +1005,10 @@ def _edges_as_cycle(sub: Graph) -> tuple[int, ...] | None:
     walk = [start]
     prev = None
     while True:
-        cur = walk[-1]
-        nxts = [w for w in sub.neighbors(cur) if w != prev]
+        nxts = [w for w in sub.neighbors(walk[-1]) if w != prev]
         nxt = nxts[0] if nxts else prev
         if nxt == start:
             break
+        prev = walk[-1]
         walk.append(nxt)
-        prev = cur
     return tuple(walk) if len(walk) == sub.n else None

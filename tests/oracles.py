@@ -210,3 +210,20 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
                     out.append(cand)
         levels.append(out)
     return tuple(g for level in levels for g in level)
+
+
+# ---------------------------------------------------------------------------
+# Torus grid topology
+# ---------------------------------------------------------------------------
+
+
+def torus_winding(cycle, rows: int, cols: int) -> tuple[int, int]:
+    """Winding numbers of a cycle of the rows x cols torus grid (vertex
+    ``cols * i + j`` at row i, column j; rows and cols >= 3), from the
+    total row and column displacement of its lift to the plane."""
+    di = dj = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        (ia, ja), (ib, jb) = divmod(a, cols), divmod(b, cols)
+        di += (ib - ia + 1) % rows - 1
+        dj += (jb - ja + 1) % cols - 1
+    return di // rows, dj // cols

@@ -47,6 +47,11 @@ def test_budget_gives_inexact_result():
     prof = min_euler_genus(complete(5), budget=50)
     assert not prof.exact
     assert prof.orientable_witness.euler_genus() == prof.orientable_min
+    # no nonorientable pattern finished, yet K5 is no forest: the profile
+    # carries a witnessed upper bound, not the forest marker None
+    assert prof.nonorientable_min is not None and prof.nonorientable_min >= 1
+    assert not prof.nonorientable_witness.is_orientable()
+    assert prof.nonorientable_witness.euler_genus() == prof.nonorientable_min
 
 
 def test_sanity_nonorientable_at_most_orientable_plus_one():

@@ -1,19 +1,25 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from surface_minors.graph import Graph, edge_key
-from surface_minors.embedding import Embedding, default_embedding, enumerate_embeddings
+from surface_minors.embedding import (Embedding, default_embedding, enumerate_embeddings,
+                                      random_embedding)
 from surface_minors.topology import (TopologyError, are_homotopic, build_Ce,
-                                     classify_cycle, cut_along, cut_for_analysis,
-                                     flip, induced_embedding, induced_genus,
+                                     classify_cycle, cut_along, flip,
+                                     induced_embedding, induced_genus,
                                      same_relative_orientation, total_genus)
 from surface_minors.structure import enumerate_cycles
 from conftest import (complete, complete_bipartite, cycle_graph, path_graph,
                       planar_embedding, rotations_from_positions, torus_grid,
                       wheel)
-from oracles import connected_graphs_up_to
+from oracles import connected_graphs_up_to, torus_winding
 
 
 K4_PLANAR = Embedding.build(complete(4), rotation={0: [1, 2, 3], 1: [0, 3, 2],
@@ -31,6 +37,8 @@ def test_c5_sphere_bounds_disk():
     c5 = cycle_graph(5)
     an = classify_cycle(c5, default_embedding(c5), [0, 1, 2, 3, 4])
     assert an.classification.contractible
+    # both faces are C itself; the outer one is taken on the left side
+    assert an.classification.disk_side == "right"
     assert an.interior_vertices() == frozenset()
     assert an.faces_inside() == ()
 
@@ -53,7 +61,7 @@ def test_k5_minimum_nonorientable_embedding_has_one_sided_cycle():
 
 def test_cut_separating_splits_genus():
     an = classify_cycle(complete(4), K4_PLANAR, [0, 1, 2])
-    cut = cut_for_analysis(an)
+    cut = an.cut
     pieces = cut.pieces()
     assert len(pieces) == 2
     assert sorted(p.embedding.euler_genus() for p in pieces) == [0, 0]
@@ -109,7 +117,9 @@ def test_cut_all_small_graph_invariants():
                     assert c.separating
                 if c.separating:
                     assert c.sidedness == "two-sided"
-                cut = cut_for_analysis(an)
+                # classifying builds neither the normalized embedding nor the cut
+                assert "normalized" not in an.__dict__ and "cut" not in an.__dict__
+                cut = an.cut
                 tg = total_genus(cut)
                 if c.separating:
                     assert tg == genus
@@ -117,6 +127,109 @@ def test_cut_all_small_graph_invariants():
                     assert tg <= genus - 2
                 else:
                     assert tg <= genus - 1
+                if c.sidedness == "two-sided":
+                    _check_sides_against_cut(an, cut)
+
+
+def _check_sides_against_cut(an, cut):
+    """The counted sides of a two-sided cycle agree with the cut graph:
+    separating iff the two copies of C fall in different pieces, each
+    side's genus is its piece's Euler genus, and each side's vertices
+    and edges are its piece's, mapped back to the original graph."""
+    pieces = {}
+    for piece in cut.pieces():
+        for side, ids in (("left", cut.left_ids), ("right", cut.right_ids)):
+            if ids[an.cycle[0]] in piece.graph.vertices:
+                pieces[side] = piece
+    assert an.classification.separating == (pieces["left"] is not pieces["right"])
+    for side, genus in (("left", an.left_genus), ("right", an.right_genus)):
+        piece = pieces[side]
+        if an.classification.separating:
+            assert genus == piece.embedding.euler_genus()
+        else:
+            assert genus is None
+        assert an.side_vertices(side) == {piece.origin[v] for v in piece.graph.vertices}
+        assert an.side_edges(side) == {edge_key(piece.origin[u], piece.origin[v])
+                                       for u, v in piece.graph.edges}
+
+
+def test_counted_sides_agree_with_cut():
+    # richer topology than the small-graph sweep: planar, projective,
+    # toroidal and random high-genus embeddings, and a disconnected cut
+    # graph such as are_homotopic classifies in
+    rng = random.Random(5)
+    g33, e33 = torus_grid(3, 3)
+    cases = [(complete(4), e) for e in enumerate_embeddings(complete(4))]
+    cases += [(complete(6), projective_k6()), (g33, e33)]
+    for g in (complete(5), complete(6), complete_bipartite(3, 4), wheel(6)):
+        cases += [(g, random_embedding(g, rng)) for _ in range(8)]
+    cut = cut_along(g33, e33, [0, 1, 4, 3])
+    assert not cut.graph.is_connected()
+    cases.append((cut.graph, cut.embedding))
+    kinds = set()
+    for g, emb in cases:
+        for cyc in enumerate_cycles(g)[0]:
+            an = classify_cycle(g, emb, cyc)
+            c = an.classification
+            if c.sidedness == "two-sided":
+                _check_sides_against_cut(an, an.cut)
+                kinds.add((c.separating, c.contractible))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def test_classify_torus_grid_against_winding_numbers():
+    # on the torus every simple closed curve is two-sided, and it is
+    # contractible, and separating, exactly when it winds zero times
+    # around both generators; the disk side then has genus 0, the other 2
+    g, emb = torus_grid(3, 4)
+    cycles, exact = enumerate_cycles(g)
+    assert exact
+    contractible = 0
+    for cyc in cycles:
+        an = classify_cycle(g, emb, cyc)
+        c = an.classification
+        trivial = torus_winding(list(cyc), 3, 4) == (0, 0)
+        assert (c.sidedness, c.separating, c.contractible) == ("two-sided", trivial, trivial)
+        if trivial:
+            assert sorted((an.left_genus, an.right_genus)) == [0, 2]
+            assert (an.left_genus if c.disk_side == "left" else an.right_genus) == 0
+            contractible += 1
+    assert 0 < contractible < len(cycles)
+
+
+def test_topology_checks_survive_optimize():
+    script = textwrap.dedent("""
+        from surface_minors import topology as t
+        from surface_minors.embedding import Embedding
+        from surface_minors.graph import Graph
+
+        print("debug", __debug__)
+        c3 = Graph.build(range(3), [(0, 1), (1, 2), (0, 2)])
+        emb = Embedding.build(c3, signature={(0, 1): -1})
+        an = t.classify_cycle(c3, emb, [0, 1, 2])
+        star = Graph.build(range(5), [(0, 1), (0, 3)])
+        checks = (lambda: t._normalizing_flips(emb, (0, 1, 2)),
+                  lambda: an.faces_on_side("left"),
+                  lambda: an.side_vertices("left"),
+                  lambda: t._reverse_arc((1, 2, 3, 4), 0, star, {0}))
+        for check in checks:
+            try:
+                check()
+                print("passed")
+            except t.TopologyError as exc:
+                print("TopologyError", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1:] == ["TopologyError cycle signature parity does not admit this normal form",
+                         "TopologyError faces_on_side: cycle is one-sided",
+                         "TopologyError sides: cycle is one-sided",
+                         "TopologyError flip: interior ends not contiguous at attach vertex"]
 
 
 def test_faces_inside_k4():
