@@ -7,8 +7,8 @@ from .graph import (Bridge, Graph, GraphError, Separation, apply_minor_op,
                     blocks, bridges_on, contract_edge, delete_edge,
                     delete_vertex, dedupe_isomorphic, find_separator,
                     graph6_decode, graph6_encode, graph_from_json,
-                    graph_to_json, is_isomorphic, one_step_minors, parse_graph,
-                    separations_of_order)
+                    graph_to_json, group_isomorphic, is_isomorphic,
+                    one_step_minors, parse_graph, separations_of_order)
 from .embedding import (Embedding, EmbeddingError, FaceWalk, default_embedding,
                         enumerate_embeddings, euler_genus, face_traversal,
                         random_embedding)

@@ -43,10 +43,18 @@ class FloorUncertain(ArithmeticError):
     """The floor could not be separated from an integer at max precision."""
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+def _mpf_to_fraction(raw) -> Fraction:
+    """The exact value of a raw mpmath float ``(sign, man, exp, bc)``.
+    Going through ``mpmath.mpf`` instead would round to ``mp.prec``."""
+    sign, man, exp, _ = raw
     frac = Fraction(man) * (Fraction(2) ** exp)
     return -frac if sign else frac
+
+
+def _interval_ends(r) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of an ``iv`` interval."""
+    a, b = r._mpi_
+    return _mpf_to_fraction(a), _mpf_to_fraction(b)
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ def log2_of_int(value: int, prec: int = 192) -> Log2Interval:
             r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(2))
         finally:
             iv.prec = old
-    return Log2Interval(_mpf_to_fraction(r.a), _mpf_to_fraction(r.b))
+    return Log2Interval(*_interval_ends(r))
 
 
 def certified_floor_log(value: int, base_num: int, base_den: int = 1,
@@ -117,12 +125,11 @@ def certified_floor_log(value: int, base_num: int, base_den: int = 1,
             num = iv.log(iv.mpf(value))
             den = iv.log(iv.mpf(base_num) / iv.mpf(base_den))
             r = num / den
-            lo = mpmath.floor(mpmath.mpf(r.a))
-            hi = mpmath.floor(mpmath.mpf(r.b))
         finally:
             iv.prec = old
+        lo, hi = (math.floor(x) for x in _interval_ends(r))
         if lo == hi:
-            return int(lo)
+            return lo
         prec *= 2
     raise FloorUncertain(
         f"floor(log_{base_num}/{base_den}({value})) ambiguous at precision {MAX_PRECISION}")

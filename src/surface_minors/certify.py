@@ -13,12 +13,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .graph import (Graph, GraphError, MinorOp, apply_minor_op, blocks,
-                    dedupe_isomorphic, graph_to_json, graph_from_json,
-                    one_step_minors, separations_of_order, edge_key)
+from .graph import (Graph, MinorOp, blocks, graph_to_json, graph_from_json,
+                    group_isomorphic, one_step_minors, separations_of_order)
 from .embedding import Embedding
-from .genus_search import (EmbedDecision, Surface, cached_profile,
-                           combined_minima, default_budget, embeddable_in)
+from .genus_search import Surface, combined_minima, default_budget, embeddable_in
 from .topology import classify_cycle
 from .structure import enumerate_cycles
 
@@ -38,11 +36,11 @@ class MinorWitness:
     embeddings: tuple[Embedding, ...]
 
     def verify(self, surface: Surface) -> bool:
+        """The embeddings cover the minor's components, and their union,
+        placed on the connected sum of their surfaces, fits the surface."""
         comps = sorted(self.graph.components(), key=min)
         if len(comps) != len(self.embeddings):
             return False
-        genera = []
-        orientable_flags = []
         for comp, emb in zip(comps, self.embeddings):
             if set(emb.graph.vertices) != set(comp):
                 return False
@@ -51,16 +49,8 @@ class MinorWitness:
             if emb.graph.m != sum(1 for e in self.graph.edges
                                   if e[0] in comp and e[1] in comp):
                 return False
-            genera.append(emb.euler_genus())
-            orientable_flags.append(emb.is_orientable())
-        total = sum(genera)
-        if surface.orientable:
-            return all(orientable_flags) and total <= surface.genus
-        if all(orientable_flags):
-            return total + 1 <= surface.genus
-        if sum(1 for f in orientable_flags if not f) != 1:
-            return False  # one nonorientable component carries the role
-        return total <= surface.genus
+        return surface.fits(sum(e.euler_genus() for e in self.embeddings),
+                            all(e.is_orientable() for e in self.embeddings))
 
 
 @dataclass(frozen=True)
@@ -85,15 +75,6 @@ class CertificationOutcome:
         return self.certificate is not None
 
 
-def _witness_tuple(decision: EmbedDecision) -> tuple[Embedding, ...]:
-    w = decision.witness
-    if w is None:
-        return ()
-    if isinstance(w, Embedding):
-        return (w,)
-    return tuple(w)
-
-
 def certify_excluded_minor(graph: Graph, surface: Surface,
                            budget: int | None = None) -> CertificationOutcome:
     """Certify the graph as a minimal excluded minor for the surface, or
@@ -103,40 +84,27 @@ def certify_excluded_minor(graph: Graph, surface: Surface,
         budget = default_budget()
     # minors first: a failing minor is cheap to find and kills the claim
     candidates = one_step_minors(graph)
-    grouped: list[tuple[MinorOp, Graph]] = []
-    reps: list[Graph] = []
-    for op, m in candidates:
-        match = None
-        for i, r in enumerate(reps):
-            if r.n == m.n and r.m == m.m and _iso(r, m):
-                match = i
-                break
-        if match is None:
-            reps.append(m)
-            grouped.append((op, m))
+    grouped = [candidates[cls[0]] for cls in group_isomorphic([m for _, m in candidates])]
     witnesses = []
-    decisions: dict[int, EmbedDecision] = {}
-    for i, (op, m) in enumerate(grouped):
+    for op, m in grouped:
         dec = embeddable_in(m, surface, budget)
         if dec.embeddable is None:
             raise CertificationError(
                 f"budget exceeded while deciding one-step minor {op}")
-        decisions[i] = dec
         if not dec.embeddable:
             return CertificationOutcome(None, {
                 "kind": "non-embeddable-minor",
                 "op": list(op) if not isinstance(op[1], tuple) else [op[0], list(op[1])],
                 "minor": json.loads(graph_to_json(m)),
             })
-        witnesses.append(MinorWitness(op, m, _witness_tuple(dec)))
+        witnesses.append(MinorWitness(op, m, dec.witness))
     dec_g = embeddable_in(graph, surface, budget)
     if dec_g.embeddable is None:
         raise CertificationError("budget exceeded while deciding the graph itself")
     if dec_g.embeddable:
-        emb = _witness_tuple(dec_g)
         return CertificationOutcome(None, {
             "kind": "graph-embeds",
-            "witness": [json.loads(e.to_json()) for e in emb],
+            "witness": [json.loads(e.to_json()) for e in dec_g.witness],
         })
     orient, nonor = combined_minima(graph, budget)
     genus_of_g = orient if nonor is None else min(orient, nonor)
@@ -145,11 +113,6 @@ def certify_excluded_minor(graph: Graph, surface: Surface,
         genus_of_g=genus_of_g,
         search={"budget": budget, "pruning": PRUNING_VERSION, "seed": 0})
     return CertificationOutcome(cert, None)
-
-
-def _iso(a: Graph, b: Graph) -> bool:
-    from .graph import is_isomorphic
-    return is_isomorphic(a, b)
 
 
 def check_genus_range(cert: ExclusionCertificate) -> bool:
@@ -167,9 +130,11 @@ def verify_certificate(cert: ExclusionCertificate,
     for w in cert.minors:
         if not w.verify(cert.surface):
             return False, f"witness for {w.op} failed verification"
-    have = list(w.graph for w in cert.minors)
-    for op, m in one_step_minors(cert.graph):
-        if not any(h.n == m.n and h.m == m.m and _iso(h, m) for h in have):
+    have = [w.graph for w in cert.minors]
+    minors = one_step_minors(cert.graph)
+    for cls in group_isomorphic(have + [m for _, m in minors]):
+        if cls[0] >= len(have):  # a class with no witness graph
+            op = minors[cls[0] - len(have)][0]
             return False, f"one-step minor {op} not covered by any witness"
     dec = embeddable_in(cert.graph, cert.surface,
                         budget if budget is not None else cert.search.get("budget"))

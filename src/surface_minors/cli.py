@@ -89,8 +89,7 @@ def cmd_embeddable(args) -> int:
     dec = embeddable_in(g, surface, args.budget)
     obj = {"surface": str(surface), "embeddable": dec.embeddable, "reason": dec.reason}
     if dec.embeddable and args.witnesses:
-        obj["witness"] = [json.loads(e.to_json()) for e in
-                          (dec.witness if isinstance(dec.witness, tuple) else (dec.witness,))]
+        obj["witness"] = [json.loads(e.to_json()) for e in dec.witness]
     human = f"embeddable in {surface}: {dec.embeddable}" + \
         (f"  ({dec.reason})" if dec.reason else "")
     _emit(args, obj, human)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search budget (default: SURFACE_MINORS_BUDGET or "
                             f"{default_budget()})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
         if embedding:
             p.add_argument("--embedding", help="embedding JSON file "
                            "(default: sorted rotations, positive signatures)")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="bundled corpus: list or verify")
     p.add_argument("action", choices=["list", "verify"])
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the invariant suite")
     p.set_defaults(fn=cmd_corpus)
 
     return ap

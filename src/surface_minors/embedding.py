@@ -189,7 +189,10 @@ class Embedding:
     def cycle_signature(self, cycle: Sequence[int]) -> int:
         """Product of the signature over the edges of the cycle; +1 means
         two-sided.  Invariant under local changes."""
-        cyc = check_cycle(self.graph, cycle)
+        return self._signature_of(check_cycle(self.graph, cycle))
+
+    def _signature_of(self, cyc: tuple[int, ...]) -> int:
+        """``cycle_signature`` of a cycle that ``check_cycle`` returned."""
         s = 1
         for i in range(len(cyc)):
             s *= self.sig[edge_key(cyc[i], cyc[(i + 1) % len(cyc)])]

@@ -98,6 +98,15 @@ class Surface:
     def __str__(self) -> str:
         return f"{self.genus}:{'orientable' if self.orientable else 'nonorientable'}"
 
+    def fits(self, euler_genus: int, orientable: bool) -> bool:
+        """Whether an embedding of this Euler genus and orientability
+        extends to this surface by adding handles or crosscaps.  An
+        orientable one reaches N_(t+1) with one crosscap, a nonorientable
+        one never reaches an orientable surface."""
+        if self.orientable:
+            return orientable and euler_genus <= self.genus
+        return euler_genus + orientable <= self.genus
+
 
 @dataclass(frozen=True)
 class GenusProfile:
@@ -459,13 +468,45 @@ def _merge_at_cutvertices(graph: Graph, parts: list[Embedding]) -> Embedding:
     return Embedding.build(graph, rot, sig)
 
 
-def profile_via_blocks(graph: Graph, budget: int | None = None) -> GenusProfile:
-    """Genus profile of a connected graph assembled from its blocks.
+def _combine(profiles: list[GenusProfile]) -> tuple[int, int | None, list[bool] | None]:
+    """The combination rule for parts that share at most one vertex
+    (blocks at a cutvertex, or components): Euler genus adds, since
+    N_a # N_b = N_(a+b) and S_a # N_b = N_(a+b).
 
-    Orientable minima add across blocks; the nonorientable minimum picks,
-    for each block, the cheaper of its two minima, forcing at least one
-    nonorientable choice.  Witnesses are merged block witnesses and
-    re-verify by the Euler formula.
+    Returns (orientable minimum, nonorientable minimum, choice).
+    Orientable minima add.  The nonorientable minimum takes each part's
+    cheaper minimum, with at least one part nonorientable, and
+    ``choice[i]`` says whether part i uses its nonorientable witness.
+    When no part has a nonorientable embedding (all forests) the last
+    two are None.
+    """
+    orient = sum(p.orientable_min for p in profiles)
+    with_nonor = [i for i, p in enumerate(profiles) if p.nonorientable_min is not None]
+    if not with_nonor:
+        return orient, None, None
+    choice = [p.nonorientable_min is not None and p.nonorientable_min <= p.orientable_min
+              for p in profiles]
+    if not any(choice):
+        flip = min(with_nonor,
+                   key=lambda i: profiles[i].nonorientable_min - profiles[i].orientable_min)
+        choice[flip] = True
+    nonor = sum(p.nonorientable_min if c else p.orientable_min
+                for p, c in zip(profiles, choice))
+    return orient, nonor, choice
+
+
+def _witnesses(profiles: list[GenusProfile], choice: list[bool] | None = None) -> list[Embedding]:
+    """Each part's nonorientable witness where ``choice`` says so, else
+    its orientable one."""
+    return [p.nonorientable_witness if choice and choice[i] else p.orientable_witness
+            for i, p in enumerate(profiles)]
+
+
+def profile_via_blocks(graph: Graph, budget: int | None = None) -> GenusProfile:
+    """Genus profile of a connected graph assembled from its blocks by
+    the combination rule (``_combine``); a single block is searched
+    directly.  Witnesses are merged block witnesses and re-verify by the
+    Euler formula.
     """
     if not graph.is_connected():
         raise GraphError("profile_via_blocks: graph must be connected")
@@ -473,28 +514,9 @@ def profile_via_blocks(graph: Graph, budget: int | None = None) -> GenusProfile:
     if len(blks) <= 1:
         return min_euler_genus(graph, budget)
     profs = [cached_profile(b, budget) for b in blks]
-    orient = sum(p.orientable_min for p in profs)
-    orient_wit = _merge_at_cutvertices(graph, [p.orientable_witness for p in profs])
-
-    nonor = None
-    nonor_wit = None
-    with_nonor = [i for i, p in enumerate(profs) if p.nonorientable_min is not None]
-    if with_nonor:
-        base = [min(p.orientable_min,
-                    p.nonorientable_min if p.nonorientable_min is not None else p.orientable_min)
-                for p in profs]
-        choice = [p.nonorientable_min is not None and p.nonorientable_min <= p.orientable_min
-                  for p in profs]
-        total = sum(base)
-        if not any(choice):
-            flip_i = min(with_nonor,
-                         key=lambda i: profs[i].nonorientable_min - profs[i].orientable_min)
-            total += profs[flip_i].nonorientable_min - profs[flip_i].orientable_min
-            choice[flip_i] = True
-        nonor = total
-        nonor_wit = _merge_at_cutvertices(
-            graph, [(p.nonorientable_witness if choice[i] else p.orientable_witness)
-                    for i, p in enumerate(profs)])
+    orient, nonor, choice = _combine(profs)
+    orient_wit = _merge_at_cutvertices(graph, _witnesses(profs))
+    nonor_wit = None if choice is None else _merge_at_cutvertices(graph, _witnesses(profs, choice))
     prof = GenusProfile(orient, nonor, orient_wit, nonor_wit,
                         exact=all(p.exact for p in profs))
     _check_witnesses(prof)
@@ -512,11 +534,7 @@ def cached_profile(graph: Graph, budget: int | None = None) -> GenusProfile:
     hit = _profile_cache.get(key)
     if hit is not None and hit.exact:
         return hit
-    blks, _ = blocks(graph)
-    if len(blks) > 1:
-        prof = profile_via_blocks(graph, budget)
-    else:
-        prof = min_euler_genus(graph, budget)
+    prof = profile_via_blocks(graph, budget)
     if len(_profile_cache) > 1024:
         _profile_cache.clear()
     _profile_cache[key] = prof
@@ -532,43 +550,27 @@ def cached_profile(graph: Graph, budget: int | None = None) -> GenusProfile:
 class EmbedDecision:
     """Outcome of an embeddability test.
 
-    ``embeddable`` is None when the search budget ran out.  For a
-    positive answer on a connected graph the witness is an embedding;
-    for a disconnected graph it is a tuple of per-component embeddings
-    (the combination rule places at most one component nonorientably).
+    ``embeddable`` is None when the search budget ran out.  A positive
+    answer carries a tuple of per-component embeddings (one entry for a
+    connected graph), chosen by the combination rule: any number of
+    components may be nonorientable.
     """
 
     surface: Surface
     embeddable: bool | None
-    witness: object = None
+    witness: tuple[Embedding, ...] = ()
     reason: str = ""
 
 
-def _component_profiles(graph: Graph, budget: int | None) -> list[tuple[Graph, GenusProfile]]:
-    out = []
-    for comp in sorted(graph.components(), key=min):
-        sub = graph.subgraph(comp)
-        out.append((sub, cached_profile(sub, budget)))
-    return out
+def _component_profiles(graph: Graph, budget: int | None) -> list[GenusProfile]:
+    return [cached_profile(graph.subgraph(comp), budget)
+            for comp in sorted(graph.components(), key=min)]
 
 
 def combined_minima(graph: Graph, budget: int | None = None) -> tuple[int, int | None]:
     """(orientable minimum, nonorientable minimum) for a possibly
-    disconnected graph: orientable genera add across components; the
-    nonorientable minimum spends the single nonorientable role on the
-    component where it pays best."""
-    parts = _component_profiles(graph, budget)
-    if not parts:
-        return 0, None
-    orient = sum(p.orientable_min for _, p in parts)
-    nonor = None
-    for i, (_, pi) in enumerate(parts):
-        if pi.nonorientable_min is None:
-            continue
-        value = pi.nonorientable_min + sum(p.orientable_min
-                                           for j, (_, p) in enumerate(parts) if j != i)
-        if nonor is None or value < nonor:
-            nonor = value
+    disconnected graph, by the combination rule over its components."""
+    orient, nonor, _ = _combine(_component_profiles(graph, budget))
     return orient, nonor
 
 
@@ -577,43 +579,20 @@ def embeddable_in(graph: Graph, surface: Surface,
     """Whether the graph embeds in the surface, with a witness when it
     does.
 
-    Orientable target: the orientable minimum must not exceed the genus.
-    Nonorientable target: either some assignment of one nonorientable
-    component reaches the genus, or the graph embeds orientably below it
-    (the surface then still accommodates it).
+    The components combine by ``_combine``.  The nonorientable minimum
+    is tried first, then the orientable one (``Surface.fits``: an
+    orientable embedding reaches a nonorientable surface with one
+    crosscap more).
     """
-    try:
-        parts = _component_profiles(graph, budget)
-    except BudgetExceeded as exc:
-        return EmbedDecision(surface, None, reason=f"budget exceeded: {exc}")
-    if any(not p.exact for _, p in parts):
+    profs = _component_profiles(graph, budget)
+    if any(not p.exact for p in profs):
         return EmbedDecision(surface, None, reason="budget exceeded during component search")
-    orient, nonor = combined_minima(graph, budget)
-    if surface.orientable:
-        ok = orient <= surface.genus
-        witness = tuple(p.orientable_witness for _, p in parts) if ok else None
-        return EmbedDecision(surface, ok, witness if graph.n else ())
-    # nonorientable target: min(nonorientable_min, orientable_min + 1) <= g
-    # (an orientable embedding of smaller genus fits after adding a crosscap)
-    ok_nonor = nonor is not None and nonor <= surface.genus
-    ok_orient = orient + 1 <= surface.genus
-    if ok_nonor:
-        best_i = None
-        best = None
-        for i, (_, p) in enumerate(parts):
-            if p.nonorientable_min is None:
-                continue
-            value = p.nonorientable_min + sum(q.orientable_min
-                                              for j, (_, q) in enumerate(parts) if j != i)
-            if best is None or value < best:
-                best, best_i = value, i
-        witness = tuple((p.nonorientable_witness if i == best_i else p.orientable_witness)
-                        for i, (_, p) in enumerate(parts))
-        return EmbedDecision(surface, True, witness)
-    if ok_orient:
-        witness = tuple(p.orientable_witness for _, p in parts)
-        return EmbedDecision(surface, True, witness,
-                             reason="orientable embedding of smaller genus")
+    orient, nonor, choice = _combine(profs)
+    if nonor is not None and surface.fits(nonor, False):
+        return EmbedDecision(surface, True, tuple(_witnesses(profs, choice)))
+    if surface.fits(orient, True):
+        return EmbedDecision(surface, True, tuple(_witnesses(profs)),
+                             "" if surface.orientable else "orientable embedding of smaller genus")
     return EmbedDecision(surface, False)
 
 

@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -396,20 +396,15 @@ def one_step_minors(graph: Graph, dedup: bool = False) -> list[tuple[MinorOp, Gr
     isomorphism class) pair; representatives follow enumeration order, so
     the output is deterministic.
     """
-    out: list[tuple[MinorOp, Graph]] = []
-    for v in graph.vertices:
-        out.append((("delete-vertex", v), delete_vertex(graph, v)))
-    for e in graph.edges:
-        out.append((("delete-edge", e), delete_edge(graph, *e)))
-    for e in graph.edges:
-        out.append((("contract-edge", e), contract_edge(graph, *e)))
-    if not dedup:
-        return out
-    kept: list[tuple[MinorOp, Graph]] = []
-    for op, g in out:
-        if not any(op[0] == kop[0] and is_isomorphic(g, kg) for kop, kg in kept):
-            kept.append((op, g))
-    return kept
+    by_kind = (
+        [(("delete-vertex", v), delete_vertex(graph, v)) for v in graph.vertices],
+        [(("delete-edge", e), delete_edge(graph, *e)) for e in graph.edges],
+        [(("contract-edge", e), contract_edge(graph, *e)) for e in graph.edges],
+    )
+    if dedup:
+        by_kind = [[ops[cls[0]] for cls in group_isomorphic([g for _, g in ops])]
+                   for ops in by_kind]
+    return [x for ops in by_kind for x in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +422,38 @@ def _fingerprint(graph: Graph) -> tuple:
     return (graph.n, graph.m, tuple(sorted(colors.values())))
 
 
+def group_isomorphic(graphs: Sequence[Graph]) -> list[list[int]]:
+    """Indices of the graphs grouped by isomorphism class.  Classes are in
+    the order of their first member and members in input order, so the
+    first member of each class is its representative in enumeration order.
+
+    Exact: each graph's refinement fingerprint is computed once, and a
+    graph is settled with VF2 against the class representatives in its
+    fingerprint bucket only.
+    """
+    classes: list[list[int]] = []
+    buckets: dict[tuple, list[tuple[nx.Graph, list[int]]]] = {}
+    for i, g in enumerate(graphs):
+        bucket = buckets.setdefault(_fingerprint(g), [])
+        gx = g.to_nx()
+        for rep, members in bucket:
+            if nx.is_isomorphic(gx, rep):
+                members.append(i)
+                break
+        else:
+            bucket.append((gx, [i]))
+            classes.append(bucket[-1][1])
+    return classes
+
+
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    if (a.n, a.m) != (b.n, b.m):
-        return False
-    if _fingerprint(a) != _fingerprint(b):
-        return False
-    return nx.is_isomorphic(a.to_nx(), b.to_nx())
+    return len(group_isomorphic([a, b])) == 1
 
 
 def dedupe_isomorphic(graphs: Iterable[Graph]) -> list[Graph]:
-    """One representative per isomorphism class, in enumeration order.
-
-    Exact at desk scale: candidates are bucketed by refinement
-    fingerprint and settled with VF2.
-    """
-    buckets: dict[tuple, list[Graph]] = {}
-    out = []
-    for g in graphs:
-        key = _fingerprint(g)
-        bucket = buckets.setdefault(key, [])
-        if not any(nx.is_isomorphic(g.to_nx(), h.to_nx()) for h in bucket):
-            bucket.append(g)
-            out.append(g)
-    return out
+    """One representative per isomorphism class, in enumeration order."""
+    graphs = list(graphs)
+    return [graphs[cls[0]] for cls in group_isomorphic(graphs)]
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
     if emb.graph != graph:
         raise TopologyError("classify_cycle: embedding is for a different graph")
     cyc = check_cycle(graph, cycle)
-    if emb.cycle_signature(cyc) < 0:
+    if emb._signature_of(cyc) < 0:
         cls = CycleClassification("one-sided", False, False, "none")
         flips = _normalizing_flips(emb, cyc, leave_negative_last=True)
         return CycleAnalysis(graph, emb, cyc, cls, _end_sides(emb, cyc, flips), flips)
@@ -647,7 +647,7 @@ def are_homotopic(graph: Graph, emb: Embedding,
     """
     cyc1 = check_cycle(graph, c1)
     cyc2 = check_cycle(graph, c2)
-    if emb.cycle_signature(cyc1) < 0 or emb.cycle_signature(cyc2) < 0:
+    if emb._signature_of(cyc1) < 0 or emb._signature_of(cyc2) < 0:
         raise TopologyError("are_homotopic: both cycles must be two-sided")
     if set(cyc1) == set(cyc2) and set(_cycle_edges(cyc1)) == set(_cycle_edges(cyc2)):
         raise TopologyError("are_homotopic: the cycles coincide")

@@ -69,6 +69,27 @@ def naive_genus(graph: Graph, rotation, signature) -> int:
     return 2 - (graph.n - graph.m + f)
 
 
+def naive_is_orientable(graph: Graph, signature: dict[tuple[int, int], int]) -> bool:
+    """True iff switching at some vertex set makes every signature +1:
+    propagate a side bit along each component and look for a clash."""
+    side: dict[int, int] = {}
+    for root in graph.vertices:
+        if root in side:
+            continue
+        side[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                s = side[u] * signature[edge_key(u, w)]
+                if w not in side:
+                    side[w] = s
+                    stack.append(w)
+                elif side[w] != s:
+                    return False
+    return True
+
+
 def all_rotation_signatures(graph: Graph):
     """Every (rotation, signature, orientable) with signatures +1 on a
     spanning tree: the full product, no pruning or symmetry reduction."""

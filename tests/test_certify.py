@@ -3,8 +3,9 @@ import json
 import pytest
 
 from surface_minors.graph import Graph
-from surface_minors.genus_search import Surface, cached_profile
-from surface_minors.certify import (CertificationError, blocks_are_excluded_minors,
+from surface_minors.genus_search import Surface, cached_profile, embeddable_in
+from surface_minors.certify import (CertificationError, MinorWitness,
+                                    blocks_are_excluded_minors,
                                     certificate_from_json, certificate_to_json,
                                     certify_excluded_minor, check_genus_range,
                                     check_superadditive_bound_transfer,
@@ -59,9 +60,20 @@ def test_two_k33_certify_projective():
     out = certify_excluded_minor(two_k33(), N1)
     assert out.certified
     cert = out.certificate
-    assert cert.genus_of_g == 3 and check_genus_range(cert)
+    # each component takes its own crosscap: 2K3,3 embeds in N2 = N1 # N1
+    assert cert.genus_of_g == 2 and check_genus_range(cert)
     ok, why = verify_certificate(cert)
     assert ok, why
+
+
+def test_minor_witness_with_two_nonorientable_components():
+    two = two_k33()
+    dec = embeddable_in(two, Surface(2, False))
+    assert [e.is_orientable() for e in dec.witness] == [False, False]
+    w = MinorWitness(("delete-vertex", 12), two, dec.witness)
+    # N1 # N1 = N2: the union fits the Klein bottle, not N1 or any orientable surface
+    assert w.verify(Surface(2, False)) and w.verify(Surface(3, False))
+    assert not w.verify(N1) and not w.verify(Surface(4, True))
 
 
 def test_certificate_roundtrip_bit_exact():

@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 from surface_minors.cli import main
-from surface_minors.graph import graph6_encode
-from conftest import complete
+from surface_minors.graph import Graph, graph6_encode
+from conftest import complete, complete_bipartite
 
 
 def test_genus_json_on_k5(capsys):
@@ -21,3 +23,20 @@ def test_malformed_budget_env_is_a_cli_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: SURFACE_MINORS_BUDGET")
     assert "Traceback" not in captured.err
+
+
+def test_embeddable_two_k33_in_klein_bottle(capsys):
+    k33 = complete_bipartite(3, 3)
+    two = Graph.build(range(12), list(k33.edges) + [(u + 6, v + 6) for u, v in k33.edges])
+    code = main(["embeddable", "--graph6", graph6_encode(two), "--surface", "2:nonorientable",
+                 "--json", "--witnesses"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["embeddable"] is True
+    assert len(out["witness"]) == 2
+
+
+def test_seed_is_a_corpus_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", "--graph6", graph6_encode(complete(5)), "--seed", "1"])
+    assert exc.value.code == 2
+    assert main(["corpus", "verify", "--json", "--seed", "1"]) == 0

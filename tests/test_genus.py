@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surface_minors.graph import Graph, GraphError, one_step_minors
 from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, BudgetExceeded,
@@ -15,7 +16,8 @@ from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, BudgetExce
                                          genus_via_blocks, min_euler_genus)
 from conftest import complete, complete_bipartite, cycle_graph, path_graph, wheel
 from oracles import (all_rotation_signatures, connected_graphs_up_to,
-                     naive_face_count, naive_orbit_lengths, unpruned_min_genus)
+                     naive_face_count, naive_genus, naive_is_orientable,
+                     naive_orbit_lengths, unpruned_min_genus)
 
 
 def test_k5_profile():
@@ -101,15 +103,62 @@ def test_forest_nonorientable_combination():
     assert embeddable_in(star, Surface(1, False)).embeddable is True
 
 
+PARTS = {"K5": complete(5), "K3,3": complete_bipartite(3, 3), "K4": complete(4),
+         "C5": cycle_graph(5), "P3": path_graph(3)}
+
+
+def join(a: Graph, b: Graph, how: str) -> Graph:
+    """a on 0..n_a-1 and b after it (both labeled from 0), either
+    "disjoint", or with a "bridge" from a's last vertex to b's first, or
+    with b's first vertex identified with a's last ("cutvertex")."""
+    shift = a.n - 1 if how == "cutvertex" else a.n
+    edges = list(a.edges) + [(u + shift, v + shift) for u, v in b.edges]
+    if how == "bridge":
+        edges.append((a.n - 1, a.n))
+    return Graph.build(range(shift + b.n), edges)
+
+
 def test_disconnected_combination_rule():
-    k33 = complete_bipartite(3, 3)
-    two = Graph.build(range(12),
-                      list(k33.edges) + [(u + 6, v + 6) for u, v in k33.edges])
-    assert combined_minima(two) == (4, 3)
+    two = join(PARTS["K3,3"], PARTS["K3,3"], "disjoint")
+    # each component takes its own crosscap: N1 # N1 = N2
+    assert combined_minima(two) == (4, 2)
     assert embeddable_in(two, Surface(1, False)).embeddable is False
+    assert embeddable_in(two, Surface(2, False)).embeddable is True
     assert embeddable_in(two, Surface(3, False)).embeddable is True
     assert embeddable_in(two, Surface(4, True)).embeddable is True
     assert embeddable_in(two, Surface(2, True)).embeddable is False
+    # one bridge more gives the same minima through the block rule
+    bridged = join(PARTS["K3,3"], PARTS["K3,3"], "bridge")
+    prof = cached_profile(bridged)
+    assert (prof.orientable_min, prof.nonorientable_min) == (4, 2)
+
+
+def test_klein_bottle_witness_for_two_k33_against_oracle():
+    two = join(PARTS["K3,3"], PARTS["K3,3"], "disjoint")
+    dec = embeddable_in(two, Surface(2, False))
+    assert dec.embeddable is True and len(dec.witness) == 2
+    for emb in dec.witness:
+        rotation, signature = dict(emb.rotation), dict(emb.signature)
+        assert emb.graph.n == 6 and emb.graph.m == 9
+        assert not naive_is_orientable(emb.graph, signature)
+        assert naive_genus(emb.graph, rotation, signature) == 1
+
+
+SURFACES = (Surface(0, True), Surface(1, False), Surface(2, True), Surface(2, False),
+            Surface(3, False))
+
+
+@settings(max_examples=40, deadline=None)
+@example("K3,3", "K3,3", "bridge")
+@given(st.sampled_from(sorted(PARTS)), st.sampled_from(sorted(PARTS)),
+       st.sampled_from(("disjoint", "bridge", "cutvertex")))
+def test_embeddability_minor_monotone(a, b, how):
+    g = join(PARTS[a], PARTS[b], how)
+    minors = one_step_minors(g, dedup=True)
+    for surface in SURFACES:
+        if embeddable_in(g, surface).embeddable:
+            for op, m in minors:
+                assert embeddable_in(m, surface).embeddable, (surface, op)
 
 
 def test_genus_via_blocks_examples():
@@ -127,10 +176,9 @@ def test_genus_via_blocks_examples():
 
 
 def test_block_additivity_exhaustive_small():
+    # against the direct search: cached_profile itself decomposes by blocks
     for g in connected_graphs_up_to(6):
-        if not g.is_connected():
-            continue
-        assert genus_via_blocks(g) == cached_profile(g).overall_min
+        assert genus_via_blocks(g) == min_euler_genus(g).overall_min
 
 
 def test_against_unpruned_oracle_exhaustive():

@@ -8,7 +8,7 @@ from surface_minors.graph import (Graph, GraphError, apply_minor_op, blocks,
                                   bridges_on, contract_edge, delete_edge,
                                   delete_vertex, dedupe_isomorphic,
                                   find_separator, graph6_decode, graph6_encode,
-                                  graph_from_json, graph_to_json,
+                                  graph_from_json, graph_to_json, group_isomorphic,
                                   is_isomorphic, one_step_minors, parse_graph,
                                   separations_of_order)
 from conftest import complete, complete_bipartite, cycle_graph, path_graph
@@ -256,3 +256,16 @@ def test_dedupe_isomorphic():
     gs = [complete(4), cycle_graph(4), complete(4), path_graph(4)]
     out = dedupe_isomorphic(gs)
     assert len(out) == 3
+
+
+def test_group_isomorphic_settles_equal_fingerprints():
+    # C6 and 2C3, like K3,3 and the prism, are regular graphs that color
+    # refinement cannot tell apart: only VF2 splits them
+    two_triangles = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    prism = Graph.build(range(6), list(two_triangles.edges) + [(0, 3), (1, 4), (2, 5)])
+    c6_shuffled = Graph.build(range(6), [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+    gs = [cycle_graph(6), two_triangles, complete_bipartite(3, 3), c6_shuffled, prism,
+          complete_bipartite(3, 3)]
+    assert group_isomorphic(gs) == [[0, 3], [1], [2, 5], [4]]
+    assert dedupe_isomorphic(gs) == [gs[0], gs[1], gs[2], gs[4]]
+    assert is_isomorphic(gs[0], gs[3]) and not is_isomorphic(gs[0], gs[1])
