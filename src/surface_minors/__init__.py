@@ -39,9 +39,10 @@ from .treedecomp import (SeparationSequence, TreeDecomposition,
                          TreeDecompositionError, balanced_1_separation,
                          balanced_separation_sequence,
                          compute_tree_decomposition, validate)
-from .bounds import (BoundTower, BoundValue, Log2Interval, bounds_table,
-                     certified_floor_log, check_superadditive, constants,
-                     f_of, asymptotic_report, floor_log_43, floor_log_q)
+from .bounds import (BoundTower, BoundValue, BoundsError, Log2Interval,
+                     bounds_table, certified_floor_log, check_superadditive,
+                     constants, f_of, asymptotic_report, floor_log_43,
+                     floor_log_q)
 from .corpus import CorpusEntry, build_corpus
 
 __version__ = "0.1.0"

@@ -43,6 +43,11 @@ class FloorUncertain(ArithmeticError):
     """The floor could not be separated from an integer at max precision."""
 
 
+class BoundsError(ValueError):
+    """Certified arithmetic applied outside its domain, or a bound-tower
+    identity that failed."""
+
+
 def _mpf_to_fraction(raw) -> Fraction:
     """The exact value of a raw mpmath float ``(sign, man, exp, bc)``.
     Going through ``mpmath.mpf`` instead would round to ``mp.prec``."""
@@ -65,7 +70,8 @@ class Log2Interval:
     hi: Fraction
 
     def __post_init__(self):
-        assert self.lo <= self.hi
+        if self.lo > self.hi:
+            raise BoundsError(f"Log2Interval: lower end {self.lo} above upper end {self.hi}")
 
     @property
     def width(self) -> Fraction:
@@ -81,7 +87,8 @@ class Log2Interval:
         return Log2Interval(self.lo - other.hi, self.hi - other.lo)
 
     def scale(self, c: int) -> "Log2Interval":
-        assert c >= 0
+        if c < 0:
+            raise BoundsError(f"Log2Interval.scale: negative factor {c}")
         return Log2Interval(self.lo * c, self.hi * c)
 
     def overlaps_within(self, other: "Log2Interval", tol: Fraction) -> bool:
@@ -94,7 +101,8 @@ class Log2Interval:
 
 def log2_of_int(value: int, prec: int = 192) -> Log2Interval:
     """Certified log2 of a positive integer."""
-    assert value > 0
+    if value <= 0:
+        raise BoundsError(f"log2_of_int: {value} is not positive")
     with mpmath.workprec(prec):
         old = iv.prec
         iv.prec = prec
@@ -114,7 +122,9 @@ def certified_floor_log(value: int, base_num: int, base_den: int = 1,
     power of the base (impossible for the bases used here, kept for
     safety) or an unresolvable ambiguity raises ``FloorUncertain``.
     """
-    assert value >= 1 and base_num > base_den >= 1
+    if not (value >= 1 and base_num > base_den >= 1):
+        raise BoundsError(f"certified_floor_log: needs value >= 1 and base > 1, "
+                          f"got {value}, {base_num}/{base_den}")
     if value == 1:
         return 0
     prec = start_prec
@@ -258,7 +268,8 @@ def constants(g: int) -> BoundTower:
     n_binom = (T + 1) * m_prime
     binom_sum = sum(math.comb(n_binom, a) for a in range(4))
     r_exact_factor = 3 * (3 * (T + 1) * m_prime + 1) * binom_sum * (5 * A // 6)
-    assert A % 6 == 0, "A is 6 times an integer by construction"
+    if A % 6:
+        raise BoundsError("bound tower: A is 6 times an integer by construction")
     r = log2_of_int(r_exact_factor) + p
     u = log2_of_int(Qv) + r
     return BoundTower(g, Q, m, T, m_prime, A, m_tilde, Qv, delta, p, r, u)

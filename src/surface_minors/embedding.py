@@ -277,7 +277,8 @@ class Embedding:
                                  "(combine components in the caller)")
         f = self.face_count()
         genus = 2 - (self.graph.n - self.graph.m + f)
-        assert genus >= 0, "Euler formula produced negative genus"
+        if genus < 0:
+            raise EmbeddingError("Euler formula produced negative genus")
         return genus
 
     # -- serialization --------------------------------------------------------
@@ -425,7 +426,8 @@ class _Compiled:
 
     def face_count(self) -> int:
         orbits = self.orbits()
-        assert len(orbits) % 2 == 0, "face orbits failed to pair up"
+        if len(orbits) % 2:
+            raise EmbeddingError("face orbits failed to pair up")
         return len(orbits) // 2 if orbits else 1  # edgeless graph: one face
 
     def face_walks(self) -> list[FaceWalk]:
@@ -443,7 +445,8 @@ class _Compiled:
             if i in done:
                 continue
             j = state_orbit[self._mirror(orb[0])]
-            assert j != i, "self-mirror face orbit; traversal invariant broken"
+            if j == i:
+                raise EmbeddingError("self-mirror face orbit; traversal invariant broken")
             done.add(i)
             done.add(j)
             darts = []

@@ -550,10 +550,12 @@ def cached_profile(graph: Graph, budget: int | None = None) -> GenusProfile:
 class EmbedDecision:
     """Outcome of an embeddability test.
 
-    ``embeddable`` is None when the search budget ran out.  A positive
-    answer carries a tuple of per-component embeddings (one entry for a
-    connected graph), chosen by the combination rule: any number of
-    components may be nonorientable.
+    ``embeddable`` is None when the search budget ran out before any
+    witnessed embedding fit the surface.  A positive answer carries a
+    tuple of per-component embeddings (one entry for a connected graph),
+    chosen by the combination rule: any number of components may be
+    nonorientable.  The witnesses prove it even when the search behind
+    them was cut short.
     """
 
     surface: Surface
@@ -582,17 +584,19 @@ def embeddable_in(graph: Graph, surface: Surface,
     The components combine by ``_combine``.  The nonorientable minimum
     is tried first, then the orientable one (``Surface.fits``: an
     orientable embedding reaches a nonorientable surface with one
-    crosscap more).
+    crosscap more).  An inexact profile's minima are witnessed upper
+    bounds, so a fit is a proof either way; only when nothing fits and
+    some profile is inexact is the answer unknown.
     """
     profs = _component_profiles(graph, budget)
-    if any(not p.exact for p in profs):
-        return EmbedDecision(surface, None, reason="budget exceeded during component search")
     orient, nonor, choice = _combine(profs)
     if nonor is not None and surface.fits(nonor, False):
         return EmbedDecision(surface, True, tuple(_witnesses(profs, choice)))
     if surface.fits(orient, True):
         return EmbedDecision(surface, True, tuple(_witnesses(profs)),
                              "" if surface.orientable else "orientable embedding of smaller genus")
+    if any(not p.exact for p in profs):
+        return EmbedDecision(surface, None, reason="budget exceeded during component search")
     return EmbedDecision(surface, False)
 
 

@@ -17,7 +17,8 @@ import networkx as nx
 from .graph import Edge, Graph, GraphError, edge_key
 from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle
 from .topology import (CycleAnalysis, TopologyError, are_homotopic,
-                       classify_cycle, _cycle_edges, _subgraph_as_cycle)
+                       classify_cycle, _as_path_sequence, _cycle_edges,
+                       _intersection_components, _subgraph_as_cycle)
 
 
 class StructureError(ValueError):
@@ -213,7 +214,8 @@ class WellNestedKind:
 
     @staticmethod
     def on(*pieces) -> "WellNestedKind":
-        assert 1 <= len(pieces) <= 2
+        if not 1 <= len(pieces) <= 2:
+            raise StructureError(f"WellNestedKind.on: {len(pieces)} pieces; one or two allowed")
         tag = "pinched-one" if len(pieces) == 1 else "pinched-two"
         return WellNestedKind(tag, tuple(pieces))
 
@@ -237,32 +239,27 @@ def is_nested(graph: Graph, emb: Embedding, inner: Sequence[int],
     if not (ain.is_contractible and aout.is_contractible):
         return False
     interior = aout.side_vertices(aout.int_side())
-    inner_cyc = check_cycle(graph, inner)
-    if not set(inner_cyc) <= interior:
+    if not set(ain.cycle) <= interior:
         return False
     side_edges = aout.side_edges(aout.int_side()) | set(_cycle_edges(aout.cycle))
-    return set(_cycle_edges(inner_cyc)) <= side_edges
+    return set(_cycle_edges(ain.cycle)) <= side_edges
 
 
 def _classified(graph: Graph, emb: Embedding, cycle: Sequence[int],
                 outer_face: FaceWalk | None, cache: dict | None) -> CycleAnalysis:
-    cyc = check_cycle(graph, cycle)
-    key = (_canonical_cycle(cyc), None if outer_face is None else outer_face.key)
-    if cache is not None and key in cache:
-        return cache[key]
+    """``classify_cycle`` through the cache, keyed by the canonical cycle.
+    A hit is a rotation or reversal of a cycle validated when it was
+    stored, so only a miss validates."""
+    if cache is None:
+        return classify_cycle(graph, emb, cycle, outer_face=outer_face)
+    face = None if outer_face is None else outer_face.key
+    cyc = tuple(cycle)
+    hit = cache.get((_canonical_cycle(cyc), face)) if len(cyc) >= 3 else None
+    if hit is not None:
+        return hit
     res = classify_cycle(graph, emb, cyc, outer_face=outer_face)
-    if cache is not None:
-        cache[key] = res
+    cache[(_canonical_cycle(res.cycle), face)] = res
     return res
-
-
-def _intersection_components(graph: Graph, c1: tuple[int, ...],
-                             c2: tuple[int, ...]) -> list[tuple[frozenset[int], set[Edge]]]:
-    shared_v = set(c1) & set(c2)
-    shared_e = set(_cycle_edges(c1)) & set(_cycle_edges(c2))
-    sub = Graph.build(shared_v, shared_e)
-    return [(comp, {e for e in shared_e if e[0] in comp and e[1] in comp})
-            for comp in sub.components()]
 
 
 def _face_path(graph: Graph, face: FaceWalk, cyc: tuple[int, ...]):
@@ -273,35 +270,6 @@ def _face_path(graph: Graph, face: FaceWalk, cyc: tuple[int, ...]):
     sub = Graph.build(fverts, fedges)
     return [(comp, {e for e in fedges if e[0] in comp and e[1] in comp})
             for comp in sub.components()]
-
-
-def _as_path_sequence(vertices: frozenset[int], edges: set[Edge]) -> list[int] | None:
-    """Order a path component's vertices end to end; None if not a path."""
-    if len(edges) != len(vertices) - 1:
-        return None
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(d > 2 for d in deg.values()):
-        return None
-    if len(vertices) == 1:
-        return [next(iter(vertices))]
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if len(ends) != 2:
-        return None
-    path = [ends[0]]
-    prev = None
-    while path[-1] != ends[1]:
-        nxts = [w for w in adj[path[-1]] if w != prev]
-        if not nxts:
-            return None
-        prev = path[-1]
-        path.append(nxts[0])
-    return path
 
 
 def _face_certifies(graph: Graph, emb: Embedding, face: FaceWalk,
@@ -348,7 +316,7 @@ def classify_well_nested(graph: Graph, emb: Embedding,
 
 def _classify_pinches(graph: Graph, emb: Embedding, c_out: tuple[int, ...],
                       c_in: tuple[int, ...]) -> WellNestedKind | None:
-    comps = _intersection_components(graph, c_out, c_in)
+    comps = _intersection_components(c_out, c_in)
     if len(comps) == 0:
         return WellNestedKind.free()
     if len(comps) > 2:
@@ -694,7 +662,7 @@ def radius(graph: Graph, emb: Embedding, cycle: Sequence[int],
     while remaining:
         layer = [f for f in remaining if f.vertex_set & frontier_verts]
         if not layer:
-            raise AssertionError("radius layering stalled; faces unreachable "
+            raise StructureError("radius layering stalled; faces unreachable "
                                  "from the boundary")
         remaining = [f for f in remaining if not (f.vertex_set & frontier_verts)]
         layers.append(tuple(sorted(layer, key=lambda f: f.key)))

@@ -169,9 +169,7 @@ class CycleAnalysis:
     @cached_property
     def cut(self) -> CutResult:
         """The cut along C, built on first use."""
-        if self.classification.sidedness == "two-sided":
-            return _cut_two_sided(self.normalized, self.cycle, self.end_side)
-        return _cut_one_sided(self.normalized, self.cycle, self.end_side)
+        return _cut(self.normalized, self.cycle, self.end_side)
 
     @property
     def is_contractible(self) -> bool:
@@ -222,44 +220,23 @@ class CycleAnalysis:
         return self.side_vertices(self.int_side()) - set(self.cycle)
 
     def faces_inside(self) -> tuple[FaceWalk, ...]:
-        """The faces of (G, Pi) lying strictly inside C, as walks over
-        original vertex ids.  The cut cap is removed, and so is the
-        degenerate disk face equal to C itself (present exactly when the
-        interior is empty), so a cycle bounding a disk has no inside
-        faces."""
-        side = self.int_side()
-        faces = [f for f in self.faces_on_side(side)
-                 if not f.edge_set <= set(_cycle_edges(self.cycle))]
-        return tuple(faces)
-
-    def faces_on_side(self, side: str) -> tuple[FaceWalk, ...]:
-        """Original faces whose region lies on the given side of C: the
-        side piece's faces with one instance of the cut cap removed."""
-        if self.classification.sidedness != "two-sided":
-            raise TopologyError("faces_on_side: cycle is one-sided")
-        ids = (self.cut.left_ids if side == "left" else self.cut.right_ids)
-        root = ids[self.cycle[0]]
-        for piece in self.cut.pieces():
-            if root in piece.graph.vertices:
-                cap = _cap_key(self.cycle, ids)
-                mapped = []
-                cap_dropped = False
-                for w in piece.embedding.faces():
-                    if not cap_dropped and w.key == cap:
-                        cap_dropped = True
-                        continue
-                    mapped.append(FaceWalk(tuple((piece.origin[a], piece.origin[b])
-                                                 for a, b in w.darts)))
-                if not cap_dropped:
-                    raise TopologyError("faces_on_side: cut piece lost its boundary cap")
-                return tuple(sorted(mapped, key=lambda f: f.key))
-        raise TopologyError("faces_on_side: cut piece without its cycle copy")
+        """The faces of (G, Pi) lying strictly inside C: those whose first
+        edge off C is on the Int side.  A face made only of C's edges is
+        not inside, so a cycle bounding a disk has no inside faces."""
+        root = self.roots[self.int_side()]
+        cset, cyc_edges = set(self.cycle), set(_cycle_edges(self.cycle))
+        return tuple(f for f in self.embedding.faces()
+                     if _face_root(f, cset, cyc_edges, self.end_side, self.roots) == root)
 
 
-def _cap_key(cycle: tuple[int, ...], ids: dict[int, int]) -> tuple[Dart, ...]:
-    seq = [ids[v] for v in cycle]
-    darts = tuple((seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-    return FaceWalk(darts).key
+def _face_root(face: FaceWalk, cset: set[int], cyc_edges: set[Edge],
+               end_side: dict[tuple[int, int], str], roots: dict):
+    """The union-find root of the face's first edge off C; None for a
+    face made only of C's edges, which lies on a side with no ends."""
+    for a, b in face.darts:
+        if (a, b) not in cyc_edges and (b, a) not in cyc_edges:
+            return roots[_end_node(cset, end_side, a, b)]
+    return None
 
 
 def _end_sides(emb: Embedding, cycle: tuple[int, ...],
@@ -352,16 +329,6 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
     disk_side = "none"
     if separating:
         faces = emb.faces()
-        c_darts = cyc_edges | {(v, u) for u, v in cyc_edges}
-
-        def face_root(face: FaceWalk):
-            # the root of the face's first edge off C; None for a face
-            # made only of C's edges, which lies on a side with no ends
-            for a, b in face.darts:
-                if (a, b) not in c_darts:
-                    return roots[_end_node(cset, end_side, a, b)]
-            return None
-
         # [vertices, edges, faces] off C on each side
         count = {left: [0, 0, 0], right: [0, 0, 0]}
         for v in graph.vertices:
@@ -373,7 +340,7 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                 if r in count:
                     count[r][1] += 1
         for f in faces:
-            r = face_root(f)
+            r = _face_root(f, cset, cyc_edges, end_side, roots)
             if r in count:
                 count[r][2] += 1
         left_genus, right_genus = (0 if e == 0 else 1 - n + e - f
@@ -384,7 +351,8 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                 # sphere: Ext is the side holding the outer face
                 key = outer_face.key if outer_face is not None else faces[0].key
                 outer = next((f for f in faces if f.key == key), None)
-                r = None if outer is None else face_root(outer)
+                r = None if outer is None else _face_root(outer, cset, cyc_edges,
+                                                          end_side, roots)
                 if outer is not None and r is None:
                     # made of C's edges: on a side with no ends
                     r = left if count[left][1] == 0 else right
@@ -397,200 +365,61 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                          left_genus, right_genus)
 
 
-def _cut_two_sided(norm: Embedding, cycle: tuple[int, ...],
-                   end_side: dict[tuple[int, int], str]) -> CutResult:
-    """Cut along a two-sided cycle with positive signatures: left ends stay
-    on the original vertex ids, right ends move to fresh copies."""
+def _cut(norm: Embedding, cycle: tuple[int, ...],
+         end_side: dict[tuple[int, int], str]) -> CutResult:
+    """Cut along a cycle of an embedding normalized on it: positive on C,
+    except a negative closing edge when C is one-sided.
+
+    Each vertex of C gets a second copy, and the edge ends on the right
+    of C move to that copy.  Each copy of an edge of C keeps its
+    signature; a negative closing edge crosses from one copy to the
+    other, so a one-sided C becomes one doubled cycle of twice the
+    length."""
     graph = norm.graph
     l = len(cycle)
     base = max(graph.vertices) + 1
-    right = {v: base + i for i, v in enumerate(cycle)}
     left = {v: v for v in cycle}
+    right = {v: base + i for i, v in enumerate(cycle)}
     cset = set(cycle)
     cyc_edges = set(_cycle_edges(cycle))
 
-    def end_at(v: int, w: int) -> int:
-        # the id the (v, w) end attaches to in the cut graph (v on C)
+    def at(v: int, w: int) -> int:
+        # the cut-graph id that edge vw's end at v attaches to
+        if v not in cset:
+            return v
         return left[v] if end_side[(v, w)] == "left" else right[v]
 
-    vertices = list(graph.vertices) + [right[v] for v in cycle]
-    edges = []
-    for u, v in graph.edges:
-        if (u, v) in cyc_edges:
-            continue
-        a, b = u, v
-        if u in cset:
-            a = end_at(u, v)
-        if v in cset:
-            b = end_at(v, u)
-        edges.append((a, b))
-    for i in range(l):
-        u, v = cycle[i], cycle[(i + 1) % l]
-        edges.append((left[u], left[v]))
-        edges.append((right[u], right[v]))
-    cut_graph = Graph.build(vertices, edges)
+    def along(ids: dict[int, int], v: int, w: int) -> int:
+        # the copy of w that the copy ids[v] reaches along C's edge vw
+        if norm.sig[edge_key(v, w)] < 0:
+            ids = right if ids is left else left
+        return ids[w]
 
-    rotation: dict[int, list[int]] = {}
-    signature: dict[tuple[int, int], int] = {}
-    for v in graph.vertices:
-        if v not in cset:
-            rotation[v] = [w if w not in cset else
-                           (left[w] if end_side[(w, v)] == "left" else right[w])
-                           for w in norm.rot[v]]
+    rotation = {v: [at(w, v) for w in norm.rot[v]]
+                for v in graph.vertices if v not in cset}
+    signature = {edge_key(at(u, v), at(v, u)): s
+                 for (u, v), s in norm.signature if (u, v) not in cyc_edges}
     for i, v in enumerate(cycle):
-        prev_v = cycle[(i - 1) % l]
-        next_v = cycle[(i + 1) % l]
+        prev_v, next_v = cycle[i - 1], cycle[(i + 1) % l]
         order = norm.rot[v]
-        k = len(order)
         start = order.index(prev_v)
-        seq = [order[(start + j) % k] for j in range(k)]  # starts at prev_v
-        lrot: list[int] = [left[prev_v]]
-        rrot: list[int] = [right[prev_v]]
-        passed_next = False
-        for w in seq[1:]:
-            if w == next_v:
-                lrot.append(left[next_v])
-                rrot.append(right[next_v])
-                passed_next = True
-            elif not passed_next:
-                lrot.append(_other_end(w, v, cset, left, right, end_side))
-            else:
-                rrot.append(_other_end(w, v, cset, left, right, end_side))
-        rotation[left[v]] = lrot
-        rotation[right[v]] = rrot
+        ends = [w for w in order[start + 1:] + order[:start] if w != next_v]
+        rotation[left[v]] = ([along(left, v, prev_v)]
+                             + [at(w, v) for w in ends if end_side[(v, w)] == "left"]
+                             + [along(left, v, next_v)])
+        rotation[right[v]] = ([along(right, v, prev_v), along(right, v, next_v)]
+                              + [at(w, v) for w in ends if end_side[(v, w)] == "right"])
+        for ids in (left, right):
+            signature[edge_key(ids[v], along(ids, v, next_v))] = norm.sig[edge_key(v, next_v)]
 
-    for u, v in graph.edges:
-        if (u, v) in cyc_edges:
-            continue
-        a, b = u, v
-        if u in cset:
-            a = end_at(u, v)
-        if v in cset:
-            b = end_at(v, u)
-        signature[edge_key(a, b)] = norm.sig[(u, v)]
-    for i in range(l):
-        u, v = cycle[i], cycle[(i + 1) % l]
-        signature[edge_key(left[u], left[v])] = 1
-        signature[edge_key(right[u], right[v])] = 1
-
-    emb = Embedding.build(cut_graph, rotation, signature)
+    cut_graph = Graph.build(list(graph.vertices) + list(right.values()), signature)
     origin = {v: v for v in graph.vertices}
     origin.update({right[v]: v for v in cycle})
-    copies = (tuple(left[v] for v in cycle), tuple(right[v] for v in cycle))
-    return CutResult(cut_graph, emb, origin, copies, left, right)
-
-
-def _other_end(w: int, v: int, cset: set, left: dict, right: dict,
-               end_side: dict) -> int:
-    """Map the neighbor w as seen from the cut copy of v."""
-    if w not in cset:
-        return w
-    # w is another cycle vertex reached by a chord (v, w): the chord's end
-    # at w goes to the side recorded for (w, v)
-    return left[w] if end_side[(w, v)] == "left" else right[w]
-
-
-def _cut_one_sided(norm: Embedding, cycle: tuple[int, ...],
-                   end_side: dict[tuple[int, int], str]) -> CutResult:
-    """Cut along a one-sided cycle normalized to a single negative closing
-    edge.  The cycle is replaced by one doubled cycle of twice the length
-    whose two seam edges keep the negative signature."""
-    graph = norm.graph
-    l = len(cycle)
-    base = max(graph.vertices) + 1
-    bar = {v: base + i for i, v in enumerate(cycle)}
-    cset = set(cycle)
-    cyc_edges = set(_cycle_edges(cycle))
-
-    def end_at(v: int, w: int) -> int:
-        return v if end_side[(v, w)] == "left" else bar[v]
-
-    vertices = list(graph.vertices) + [bar[v] for v in cycle]
-    edges = []
-    for u, v in graph.edges:
-        if (u, v) in cyc_edges:
-            continue
-        a, b = u, v
-        if u in cset:
-            a = end_at(u, v)
-        if v in cset:
-            b = end_at(v, u)
-        edges.append((a, b))
-    # doubled cycle: v0 e1 v1 ... v_{l-1} e_l bar0 bare1 bar1 ... bar_{l-1} bare_l v0
-    for i in range(l - 1):
-        edges.append((cycle[i], cycle[i + 1]))
-        edges.append((bar[cycle[i]], bar[cycle[i + 1]]))
-    edges.append((cycle[l - 1], bar[cycle[0]]))   # e_l seam
-    edges.append((bar[cycle[l - 1]], cycle[0]))   # bar e_l seam
-    cut_graph = Graph.build(vertices, edges)
-
-    rotation: dict[int, list[int]] = {}
-    signature: dict[tuple[int, int], int] = {}
-    for v in graph.vertices:
-        if v not in cset:
-            rotation[v] = [w if w not in cset else
-                           (w if end_side[(w, v)] == "left" else bar[w])
-                           for w in norm.rot[v]]
-    for i, v in enumerate(cycle):
-        prev_v = cycle[(i - 1) % l]
-        next_v = cycle[(i + 1) % l]
-        order = norm.rot[v]
-        k = len(order)
-        start = order.index(prev_v)
-        seq = [order[(start + j) % k] for j in range(k)]
-        # neighbor ids on the plain copy and the barred copy of v
-        if i == 0:
-            plain_prev, plain_next = bar[cycle[l - 1]], cycle[1] if l > 1 else bar[cycle[l - 1]]
-            bar_prev, bar_next = cycle[l - 1], bar[cycle[1]]
-        elif i == l - 1:
-            plain_prev, plain_next = cycle[i - 1], bar[cycle[0]]
-            bar_prev, bar_next = bar[cycle[i - 1]], cycle[0]
-        else:
-            plain_prev, plain_next = cycle[i - 1], cycle[i + 1]
-            bar_prev, bar_next = bar[cycle[i - 1]], bar[cycle[i + 1]]
-        lrot: list[int] = [plain_prev]
-        rrot: list[int] = [bar_prev]
-        passed_next = False
-        for w in seq[1:]:
-            if w == next_v:
-                lrot.append(plain_next)
-                rrot.append(bar_next)
-                passed_next = True
-            elif not passed_next:
-                lrot.append(_other_end_onesided(w, v, cset, bar, end_side))
-            else:
-                rrot.append(_other_end_onesided(w, v, cset, bar, end_side))
-        rotation[v] = lrot
-        rotation[bar[v]] = rrot
-
-    for u, v in graph.edges:
-        if (u, v) in cyc_edges:
-            continue
-        a, b = u, v
-        if u in cset:
-            a = end_at(u, v)
-        if v in cset:
-            b = end_at(v, u)
-        signature[edge_key(a, b)] = norm.sig[(u, v)]
-    for i in range(l - 1):
-        signature[edge_key(cycle[i], cycle[i + 1])] = 1
-        signature[edge_key(bar[cycle[i]], bar[cycle[i + 1]])] = 1
-    signature[edge_key(cycle[l - 1], bar[cycle[0]])] = -1
-    signature[edge_key(bar[cycle[l - 1]], cycle[0])] = -1
-
-    emb = Embedding.build(cut_graph, rotation, signature)
-    origin = {v: v for v in graph.vertices}
-    origin.update({bar[v]: v for v in cycle})
-    doubled = tuple(list(cycle) + [bar[v] for v in cycle])
-    return CutResult(cut_graph, emb, origin, (doubled,),
-                     {v: v for v in cycle}, bar)
-
-
-def _other_end_onesided(w: int, v: int, cset: set, bar: dict,
-                        end_side: dict) -> int:
-    if w not in cset:
-        return w
-    return w if end_side[(w, v)] == "left" else bar[w]
+    copies = (tuple(left.values()), tuple(right.values()))
+    if norm.sig[edge_key(cycle[-1], cycle[0])] < 0:
+        copies = (copies[0] + copies[1],)
+    return CutResult(cut_graph, Embedding.build(cut_graph, rotation, signature),
+                     origin, copies, left, right)
 
 
 def cut_along(graph: Graph, emb: Embedding, cycle: Sequence[int]) -> CutResult:
@@ -614,26 +443,6 @@ def total_genus(cut: CutResult) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _shared_structure(graph: Graph, c1: tuple[int, ...], c2: tuple[int, ...]):
-    """Components of the intersection of two cycles, each as (vertex set,
-    edge set)."""
-    v_shared = set(c1) & set(c2)
-    e_shared = set(_cycle_edges(c1)) & set(_cycle_edges(c2))
-    sub = Graph.build(v_shared, [e for e in e_shared])
-    return [(comp, {e for e in e_shared if e[0] in comp and e[1] in comp})
-            for comp in sub.components()]
-
-
-def _is_path_component(vertices: frozenset[int], edges: set[Edge]) -> bool:
-    if len(edges) != len(vertices) - 1:
-        return False
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return all(d <= 2 for d in deg.values())
-
-
 def are_homotopic(graph: Graph, emb: Embedding,
                   c1: Sequence[int], c2: Sequence[int]):
     """Whether two two-sided cycles are homotopic: cutting along both
@@ -645,18 +454,33 @@ def are_homotopic(graph: Graph, emb: Embedding,
     vertex); the cut of the second cycle follows the side on which it
     touches the first, so a transversal crossing is rejected.
     """
+    found = _cylinder(graph, emb, c1, c2)
+    if found is None:
+        return None
+    piece, _, origin = found
+    edges = {edge_key(origin[u], origin[v]) for u, v in piece.edges
+             if origin[u] != origin[v]}
+    return graph.edge_subgraph(edges, extra_vertices=set(origin.values()))
+
+
+def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]):
+    """The double cut behind ``are_homotopic``: cut along C1, then along
+    C2 lifted to that cut, and return the genus-0 component holding
+    exactly one copy of each cycle, with the fewest faces (ties go to the
+    component with the smallest vertex), as (piece, its embedding, map
+    from the piece's vertices to the graph's); None when there is none."""
     cyc1 = check_cycle(graph, c1)
     cyc2 = check_cycle(graph, c2)
     if emb._signature_of(cyc1) < 0 or emb._signature_of(cyc2) < 0:
         raise TopologyError("are_homotopic: both cycles must be two-sided")
     if set(cyc1) == set(cyc2) and set(_cycle_edges(cyc1)) == set(_cycle_edges(cyc2)):
         raise TopologyError("are_homotopic: the cycles coincide")
-    shared = _shared_structure(graph, cyc1, cyc2)
+    shared = _intersection_components(cyc1, cyc2)
     if len(shared) > 1:
         raise TopologyError(
             f"are_homotopic: cycles share {len(shared)} separate pieces "
             f"({sorted(sorted(c) for c, _ in shared)}); allowed is one path")
-    if shared and not _is_path_component(*shared[0]):
+    if shared and _as_path_sequence(*shared[0]) is None:
         raise TopologyError("are_homotopic: shared intersection is not a path")
 
     analysis1 = classify_cycle(graph, emb, cyc1)
@@ -664,32 +488,63 @@ def are_homotopic(graph: Graph, emb: Embedding,
     lifted = _lift_cycle(cut1, analysis1, cyc2)
     if lifted is None:
         raise TopologyError("are_homotopic: cycles cross transversally")
-    analysis2 = classify_cycle(cut1.graph, cut1.embedding, lifted)
-    cut2 = analysis2.cut
-    origin = {v: cut1.origin[cut2.origin[v]] for v in cut2.graph.vertices}
+    cut2 = classify_cycle(cut1.graph, cut1.embedding, lifted).cut
 
-    candidates = []
+    best = None
     for comp in cut2.graph.components():
         piece = cut2.graph.subgraph(comp)
-        n1 = _count_copies(piece, cut2, cut1, cyc1)
-        n2 = _count_copies2(piece, cut2, cyc2)
-        if n1 == 1 and n2 == 1:
+        if _count_copies(piece, cut2, cut1) == 1 and _count_copies2(piece, cut2) == 1:
             pemb = induced_embedding(cut2.embedding, piece)
-            if sum(induced_embedding(pemb, piece.subgraph(c)).euler_genus()
-                   for c in piece.components()) == 0:
-                candidates.append((len(pemb.faces()), piece, comp))
-    if not candidates:
+            if pemb.euler_genus() == 0 and (best is None
+                                            or len(pemb.faces()) < len(best[1].faces())):
+                best = (piece, pemb)
+    if best is None:
         return None
-    candidates.sort(key=lambda t: (t[0], sorted(t[2])))
-    _, piece, comp = candidates[0]
-    verts = {origin[v] for v in comp}
-    edges = {edge_key(origin[u], origin[v]) for u, v in piece.edges
-             if origin[u] != origin[v]}
-    return graph.edge_subgraph(edges, extra_vertices=verts)
+    piece, pemb = best
+    return piece, pemb, {v: cut1.origin[cut2.origin[v]] for v in piece.vertices}
 
 
-def _count_copies(piece: Graph, cut2: CutResult, cut1: CutResult,
-                  cyc1: tuple[int, ...]) -> int:
+def _intersection_components(c1: tuple[int, ...], c2: tuple[int, ...]
+                             ) -> list[tuple[frozenset[int], set[Edge]]]:
+    """Components of the intersection of two cycles, each as (vertex set,
+    edge set)."""
+    shared_v = set(c1) & set(c2)
+    shared_e = set(_cycle_edges(c1)) & set(_cycle_edges(c2))
+    sub = Graph.build(shared_v, shared_e)
+    return [(comp, {e for e in shared_e if e[0] in comp and e[1] in comp})
+            for comp in sub.components()]
+
+
+def _as_path_sequence(vertices: frozenset[int], edges: set[Edge]) -> list[int] | None:
+    """Order a path component's vertices end to end; None if not a path."""
+    if len(edges) != len(vertices) - 1:
+        return None
+    deg: dict[int, int] = {v: 0 for v in vertices}
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(d > 2 for d in deg.values()):
+        return None
+    if len(vertices) == 1:
+        return [next(iter(vertices))]
+    ends = sorted(v for v, d in deg.items() if d == 1)
+    if len(ends) != 2:
+        return None
+    path = [ends[0]]
+    prev = None
+    while path[-1] != ends[1]:
+        nxts = [w for w in adj[path[-1]] if w != prev]
+        if not nxts:
+            return None
+        prev = path[-1]
+        path.append(nxts[0])
+    return path
+
+
+def _count_copies(piece: Graph, cut2: CutResult, cut1: CutResult) -> int:
     """Copies of the first cycle present in a component of the second cut."""
     count = 0
     for copy in cut1.copies:
@@ -716,7 +571,7 @@ def _count_cycle_images(piece: Graph, cut: CutResult, cycle_ids: tuple[int, ...]
     return total
 
 
-def _count_copies2(piece: Graph, cut2: CutResult, cyc2: tuple[int, ...]) -> int:
+def _count_copies2(piece: Graph, cut2: CutResult) -> int:
     count = 0
     for copy in cut2.copies:
         if all(v in piece.vertices for v in copy):
@@ -840,33 +695,13 @@ def _relative_orientation_bit(graph: Graph, emb: Embedding,
                               c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """In the genus-0 piece between the cycles, fix the global orientation
     by C1's reference walk and read off C2's induced direction."""
-    region = are_homotopic(graph, emb, c1, c2)
-    if region is None:
+    found = _cylinder(graph, emb, c1, c2)
+    if found is None:
         raise TopologyError("relative orientation: cycles bound no common cylinder")
-    # rebuild the cylinder piece with its two caps by cutting both cycles
-    analysis1 = classify_cycle(graph, emb, c1)
-    cut1 = analysis1.cut
-    lifted = _lift_cycle(cut1, analysis1, c2)
-    if lifted is None:
-        raise TopologyError("relative orientation: second cycle does not lift to the cut")
-    analysis2 = classify_cycle(cut1.graph, cut1.embedding, lifted)
-    cut2 = analysis2.cut
-    origin = {v: cut1.origin[cut2.origin[v]] for v in cut2.graph.vertices}
-    best = None
-    for comp in cut2.graph.components():
-        piece = cut2.graph.subgraph(comp)
-        if _count_copies(piece, cut2, cut1, c1) == 1 and _count_copies2(piece, cut2, c2) == 1:
-            pemb = induced_embedding(cut2.embedding, piece)
-            if piece.is_connected() and pemb.euler_genus() == 0:
-                nf = len(pemb.faces())
-                if best is None or nf < best[0]:
-                    best = (nf, piece, pemb)
-    if best is None:
-        raise TopologyError("relative orientation: cylinder piece not found")
-    _, piece, pemb = best
+    _, pemb, origin = found
     faces = _oriented_faces(pemb)
-    bit1 = _cycle_direction_bit(faces, c1, {v: origin[v] for v in piece.vertices})
-    bit2 = _cycle_direction_bit(faces, c2, {v: origin[v] for v in piece.vertices})
+    bit1 = _cycle_direction_bit(faces, c1, origin)
+    bit2 = _cycle_direction_bit(faces, c2, origin)
     if bit1 is None or bit2 is None:
         raise TopologyError("relative orientation: cap walks not found in the piece")
     return bit1 == bit2

@@ -229,7 +229,8 @@ def compute_tree_decomposition(graph: Graph, mode: str = "exact") -> tuple[TreeD
         exact = False
     td = _decomposition_from_order(graph, order)
     ok, why = validate(graph, td)
-    assert ok, f"constructed decomposition failed validation: {why}"
+    if not ok:
+        raise TreeDecompositionError(f"constructed decomposition failed validation: {why}")
     return td, exact
 
 
@@ -293,7 +294,7 @@ def balanced_1_separation(td: TreeDecomposition) -> tuple[tuple[int, ...], tuple
         side2 = {t0} | {t for i in range(len(branches)) if i not in group
                         for t in branches[i]}
         return tuple(sorted(side1)), tuple(sorted(side2)), t0
-    raise AssertionError("no balanced 1-separation found; theorem violated")
+    raise TreeDecompositionError("no balanced 1-separation found; theorem violated")
 
 
 @dataclass(frozen=True)
@@ -352,9 +353,10 @@ def balanced_separation_sequence(graph: Graph, td: TreeDecomposition,
     seq = SeparationSequence(td, tuple(sorted(parts)))
     limit = math.floor(math.log(3 * k) / math.log(4 / 3))
     weights = seq.weights
-    assert all(wa <= 3 * wb for wa in weights for wb in weights), \
-        "weight ratio property violated"
-    assert all(b <= limit for b in seq.boundary_sizes()), \
-        "boundary size property violated"
-    assert seq.pairwise_intersections_ok(), "parts share more than one node"
+    if not all(wa <= 3 * wb for wa in weights for wb in weights):
+        raise TreeDecompositionError("weight ratio property violated")
+    if not all(b <= limit for b in seq.boundary_sizes()):
+        raise TreeDecompositionError("boundary size property violated")
+    if not seq.pairwise_intersections_ok():
+        raise TreeDecompositionError("parts share more than one node")
     return seq

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from surface_minors import genus_search
 from surface_minors.graph import Graph, GraphError, one_step_minors
 from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, BudgetExceeded,
                                          GenusProfile, Surface, _FaceTracker,
@@ -54,6 +55,22 @@ def test_budget_gives_inexact_result():
     assert prof.nonorientable_min is not None and prof.nonorientable_min >= 1
     assert not prof.nonorientable_witness.is_orientable()
     assert prof.nonorientable_witness.euler_genus() == prof.nonorientable_min
+
+
+def test_inexact_embeddable_answers_from_fitting_witness(monkeypatch):
+    # the budget-50 profile of K5 is inexact, but its orientable witness
+    # of Euler genus at most 6 already proves that K5 embeds in S6; an
+    # empty profile cache keeps exact K5 profiles of other tests out
+    monkeypatch.setattr(genus_search, "_profile_cache", {})
+    dec = embeddable_in(complete(5), Surface(6, True), budget=50)
+    assert dec.embeddable is True and len(dec.witness) == 1
+    emb = dec.witness[0]
+    assert naive_is_orientable(emb.graph, emb.sig)
+    bound = min_euler_genus(complete(5), budget=50).orientable_min
+    assert naive_genus(emb.graph, emb.rot, emb.sig) == bound <= 6
+    # no witness fits the sphere, and the search was cut short: unknown
+    dec = embeddable_in(complete(5), Surface(0, True), budget=50)
+    assert dec.embeddable is None and dec.witness == ()
 
 
 def test_sanity_nonorientable_at_most_orientable_plus_one():

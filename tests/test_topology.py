@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from surface_minors.graph import Graph, edge_key
-from surface_minors.embedding import (Embedding, default_embedding, enumerate_embeddings,
-                                      random_embedding)
+from surface_minors.embedding import (Embedding, FaceWalk, default_embedding,
+                                      enumerate_embeddings, random_embedding)
 from surface_minors.topology import (TopologyError, are_homotopic, build_Ce,
                                      classify_cycle, cut_along, flip,
                                      induced_embedding, induced_genus,
@@ -134,8 +134,9 @@ def test_cut_all_small_graph_invariants():
 def _check_sides_against_cut(an, cut):
     """The counted sides of a two-sided cycle agree with the cut graph:
     separating iff the two copies of C fall in different pieces, each
-    side's genus is its piece's Euler genus, and each side's vertices
-    and edges are its piece's, mapped back to the original graph."""
+    side's genus is its piece's Euler genus, each side's vertices and
+    edges are its piece's, mapped back to the original graph, and so are
+    the faces inside a contractible cycle."""
     pieces = {}
     for piece in cut.pieces():
         for side, ids in (("left", cut.left_ids), ("right", cut.right_ids)):
@@ -151,6 +152,21 @@ def _check_sides_against_cut(an, cut):
         assert an.side_vertices(side) == {piece.origin[v] for v in piece.graph.vertices}
         assert an.side_edges(side) == {edge_key(piece.origin[u], piece.origin[v])
                                        for u, v in piece.graph.edges}
+    if an.classification.contractible:
+        # the inside faces are the Int piece's faces less one cap and
+        # less the faces made only of C's edges
+        side = an.int_side()
+        piece = pieces[side]
+        ids = cut.left_ids if side == "left" else cut.right_ids
+        ring = list(zip(an.cycle, an.cycle[1:] + an.cycle[:1]))
+        cap = FaceWalk(tuple((ids[a], ids[b]) for a, b in ring)).key
+        walks = list(piece.embedding.faces())
+        walks.remove(next(w for w in walks if w.key == cap))
+        mapped = [FaceWalk(tuple((piece.origin[a], piece.origin[b]) for a, b in w.darts))
+                  for w in walks]
+        c_edges = {edge_key(a, b) for a, b in ring}
+        assert sorted(f.key for f in an.faces_inside()) == \
+            sorted(f.key for f in mapped if not f.edge_set <= c_edges)
 
 
 def test_counted_sides_agree_with_cut():
@@ -209,7 +225,7 @@ def test_topology_checks_survive_optimize():
         an = t.classify_cycle(c3, emb, [0, 1, 2])
         star = Graph.build(range(5), [(0, 1), (0, 3)])
         checks = (lambda: t._normalizing_flips(emb, (0, 1, 2)),
-                  lambda: an.faces_on_side("left"),
+                  an.faces_inside,
                   lambda: an.side_vertices("left"),
                   lambda: t._reverse_arc((1, 2, 3, 4), 0, star, {0}))
         for check in checks:
@@ -227,7 +243,7 @@ def test_topology_checks_survive_optimize():
     lines = run.stdout.splitlines()
     assert lines[0] == "debug False"
     assert lines[1:] == ["TopologyError cycle signature parity does not admit this normal form",
-                         "TopologyError faces_on_side: cycle is one-sided",
+                         "TopologyError Int/Ext: cycle is not contractible",
                          "TopologyError sides: cycle is one-sided",
                          "TopologyError flip: interior ends not contiguous at attach vertex"]
 
