@@ -41,7 +41,7 @@ from .treedecomp import (SeparationSequence, TreeDecomposition,
                          compute_tree_decomposition, validate)
 from .bounds import (BoundTower, BoundValue, BoundsError, Log2Interval,
                      bounds_table, certified_floor_log, check_superadditive,
-                     constants, f_of, asymptotic_report, floor_log_43,
+                     constants, f_of, floor_log_43,
                      floor_log_q)
 from .corpus import CorpusEntry, build_corpus
 

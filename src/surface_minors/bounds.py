@@ -25,11 +25,11 @@ Tower, bottom to top (g is the Euler genus of the target surface):
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import iv
 
 Q_NUMERATOR = 9073
@@ -99,17 +99,23 @@ class Log2Interval:
         return (self.lo + self.hi) / 2
 
 
+@contextmanager
+def _iv_precision(prec: int):
+    """Run interval arithmetic at ``prec`` bits."""
+    old = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
 def log2_of_int(value: int, prec: int = 192) -> Log2Interval:
     """Certified log2 of a positive integer."""
     if value <= 0:
         raise BoundsError(f"log2_of_int: {value} is not positive")
-    with mpmath.workprec(prec):
-        old = iv.prec
-        iv.prec = prec
-        try:
-            r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(2))
-        finally:
-            iv.prec = old
+    with _iv_precision(prec):
+        r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(2))
     return Log2Interval(*_interval_ends(r))
 
 
@@ -129,14 +135,8 @@ def certified_floor_log(value: int, base_num: int, base_den: int = 1,
         return 0
     prec = start_prec
     while prec <= MAX_PRECISION:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            num = iv.log(iv.mpf(value))
-            den = iv.log(iv.mpf(base_num) / iv.mpf(base_den))
-            r = num / den
-        finally:
-            iv.prec = old
+        with _iv_precision(prec):
+            r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(base_num) / iv.mpf(base_den))
         lo, hi = (math.floor(x) for x in _interval_ends(r))
         if lo == hi:
             return lo
@@ -307,31 +307,22 @@ def recompute_identities(g: int, tol_log2: Fraction = Fraction(1, 2 ** 64)) -> d
     return out
 
 
-def asymptotic_report(g_list: list[int]) -> list[dict]:
-    """log2 U(g) for each genus plus the finite-difference slope of
-    log2 U against log2 g between consecutive entries."""
-    if any(b <= a for a, b in zip(g_list, g_list[1:])):
-        raise ValueError("genus list must be strictly increasing")
-    rows = []
-    prev = None
-    for g in g_list:
-        t = constants(g)
-        u = t.u_log2.midpoint_float()
-        row = {"g": g, "log2_U": u}
-        if prev is not None and g > 0 and prev[0] > 0:
-            row["slope"] = (u - prev[1]) / (math.log2(g) - math.log2(prev[0]))
-        rows.append(row)
-        prev = (g, u)
-    return rows
+def log2_of_sum(a: Log2Interval, b: Log2Interval, prec: int = 192) -> Log2Interval:
+    """Enclosure of log2(2^x + 2^y) over x in a and y in b.  The sum
+    grows with both terms, so each end is the value at the matching ends
+    of a and b, enclosed by interval arithmetic."""
+    return Log2Interval(_log2_sum_at(a.lo, b.lo, prec).lo, _log2_sum_at(a.hi, b.hi, prec).hi)
 
 
-def log2_of_sum(a: Log2Interval, b: Log2Interval) -> Log2Interval:
-    """Enclosure of log2(2^a + 2^b)."""
-    big, small = (a, b) if a.lo >= b.lo else (b, a)
-    # 2^big <= sum <= 2^(big+1); refine with the actual gap when sane
-    gap_hi = float(small.hi - big.lo)
-    bump_hi = math.log2(1 + 2 ** min(gap_hi, 0.0)) if gap_hi < 0 else 1.0
-    return Log2Interval(big.lo, big.hi + Fraction(bump_hi).limit_denominator(1 << 62))
+def _log2_sum_at(x: Fraction, y: Fraction, prec: int) -> Log2Interval:
+    """Certified log2(2^x + 2^y) = top + log2(1 + 2^gap), where top is
+    the larger exponent and gap <= 0 the other one less top."""
+    top, gap = max(x, y), min(x, y) - max(x, y)
+    with _iv_precision(prec):
+        r = iv.log(1 + iv.mpf(2) ** (iv.mpf(gap.numerator) / iv.mpf(gap.denominator))) \
+            / iv.log(iv.mpf(2))
+    lo, hi = _interval_ends(r)
+    return Log2Interval(top + lo, top + hi)
 
 
 def check_superadditive(bound_fn, g1: int, g2: int) -> bool:

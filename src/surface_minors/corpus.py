@@ -1,4 +1,5 @@
-"""Bundled graph corpus with provenance-tagged known facts.
+"""Bundled graph corpus with provenance-tagged known facts, and the
+graph-family builders it is made from.
 
 Every fact carries a provenance string naming its oracle; ``verify``
 recomputes each fact and a battery of module invariants, failing with
@@ -32,23 +33,28 @@ class CorpusEntry:
                 raise ValueError(f"corpus entry {self.name}: fact {key} lacks provenance")
 
 
-def _complete(n: int) -> Graph:
+def complete(n: int) -> Graph:
+    """The complete graph on 0..n-1."""
     return Graph.build(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def _complete_bipartite(a: int, b: int) -> Graph:
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with sides 0..a-1 and a..a+b-1."""
     return Graph.build(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def _cycle(n: int) -> Graph:
+def cycle_graph(n: int) -> Graph:
+    """The cycle 0-1-...-(n-1)-0."""
     return Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def _path(n: int) -> Graph:
+def path_graph(n: int) -> Graph:
+    """The path 0-1-...-(n-1)."""
     return Graph.build(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
-def _wheel(rim: int) -> Graph:
+def wheel(rim: int) -> Graph:
+    """Hub 0 joined to the rim cycle 1..rim."""
     return Graph.build(range(rim + 1), [(0, i) for i in range(1, rim + 1)]
                        + [(i, i % rim + 1) for i in range(1, rim + 1)])
 
@@ -67,7 +73,8 @@ def _wedge(g1: Graph, g2: Graph) -> Graph:
                        list(g1.edges) + [(relabel[u], relabel[v]) for u, v in g2.edges])
 
 
-def _torus_grid(rows: int, cols: int) -> tuple[Graph, Embedding]:
+def torus_grid(rows: int, cols: int) -> tuple[Graph, Embedding]:
+    """The rows x cols grid on the torus with its quadrangular embedding."""
     def vid(i, j):
         return cols * (i % rows) + (j % cols)
     edges = set()
@@ -82,8 +89,8 @@ def _torus_grid(rows: int, cols: int) -> tuple[Graph, Embedding]:
 
 
 def build_corpus() -> list[CorpusEntry]:
-    k5, k33, k4 = _complete(5), _complete_bipartite(3, 3), _complete(4)
-    torus_g, torus_e = _torus_grid(3, 3)
+    k5, k33, k4 = complete(5), complete_bipartite(3, 3), complete(4)
+    torus_g, torus_e = torus_grid(3, 3)
     entries = [
         CorpusEntry("K4", k4, (
             ("genus_profile", (0, 1), "[DERIVED: exhaustive rotation/signature search]"),
@@ -96,16 +103,16 @@ def build_corpus() -> list[CorpusEntry]:
             ("genus_profile", (2, 1), "[DERIVED: exhaustive search; PAPER: not planar (Wagner clause)]"),
             ("excluded_minor_for", "0:orientable", "[PAPER: Wagner clause; DERIVED: certifier]"),
         )),
-        CorpusEntry("C5", _cycle(5), (
+        CorpusEntry("C5", cycle_graph(5), (
             ("genus_profile", (0, 1), "[DERIVED: exhaustive search]"),
         )),
-        CorpusEntry("P4", _path(4), (
+        CorpusEntry("P4", path_graph(4), (
             ("genus_profile", (0, None), "[TRIVIAL: forests have a single face]"),
         )),
         CorpusEntry("star-K1,4", Graph.build(range(5), [(0, i) for i in range(1, 5)]), (
             ("genus_profile", (0, None), "[TRIVIAL: forests have a single face]"),
         )),
-        CorpusEntry("W5", _wheel(5), (
+        CorpusEntry("W5", wheel(5), (
             ("genus_profile", (0, 1), "[DERIVED: exhaustive search]"),
         )),
         CorpusEntry("2xK3,3", _disjoint(k33, k33), (

@@ -11,11 +11,14 @@ recurs in the starting sense.
 The traversal is realized on the state space of (directed edge,
 orientation flag) pairs; a face corresponds to a mirror pair of orbits
 of the successor permutation, so faces come out of orbit counting with
-each edge traversed exactly twice overall.
+each edge traversed exactly twice overall.  The dart kernel at the end
+of this module numbers darts and states and writes the successor rule
+once, for face tracing and for the genus search alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -258,8 +261,39 @@ class Embedding:
 
     # -- faces ---------------------------------------------------------------
 
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the successor permutation on traversal states (see
+        the dart kernel below), each from its smallest state.  Tuples of
+        ints, which the garbage collector stops tracking, since every
+        embedding keeps them."""
+        graph = self.graph
+        sig = self.sig
+        neg = [sig[e] < 0 for e in graph.edges]
+        nstates = 4 * graph.m
+        succ = [0] * nstates
+        for v, order in self.rotation:
+            for s, t in successor_pairs([dart(graph, v, w) for w in order], neg):
+                succ[s] = t
+        seen = bytearray(nstates)
+        out = []
+        for s0 in range(nstates):
+            if seen[s0]:
+                continue
+            orbit = []
+            s = s0
+            while not seen[s]:
+                seen[s] = 1
+                orbit.append(s)
+                s = succ[s]
+            out.append(tuple(orbit))
+        return tuple(out)
+
     def face_count(self) -> int:
-        return _compile(self).face_count()
+        n = len(self.orbits)
+        if n % 2:
+            raise EmbeddingError("face orbits failed to pair up")
+        return n // 2 if n else 1  # edgeless graph: one face
 
     def faces(self) -> tuple[FaceWalk, ...]:
         """All facial walks, one per face, deterministically ordered.
@@ -268,7 +302,28 @@ class Embedding:
 
     @cached_property
     def _sorted_faces(self) -> tuple[FaceWalk, ...]:
-        return tuple(sorted(_compile(self).face_walks(), key=lambda w: w.key))
+        if self.graph.m == 0:
+            return (FaceWalk(()),)
+        edges = self.graph.edges
+        sig = self.sig
+        orbit_of = [0] * (4 * self.graph.m)
+        for i, orb in enumerate(self.orbits):
+            for s in orb:
+                orbit_of[s] = i
+        done = set()
+        walks = []
+        for i, orb in enumerate(self.orbits):
+            if i in done:
+                continue
+            # the orbit of the mirror of its first state 2d + o
+            d, o = orb[0] >> 1, orb[0] & 1
+            j = orbit_of[2 * (d ^ 1) + (o ^ 1 ^ (sig[edges[d >> 1]] < 0))]
+            if j == i:
+                raise EmbeddingError("self-mirror face orbit; traversal invariant broken")
+            done.add(i)
+            done.add(j)
+            walks.append(FaceWalk(dart_ends(self.graph, [s >> 1 for s in orb])))
+        return tuple(sorted(walks, key=lambda w: w.key))
 
     def euler_genus(self) -> int:
         """2 - (V - E + F).  Requires a connected graph."""
@@ -350,127 +405,66 @@ def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled face tracer
+# Dart kernel
 # ---------------------------------------------------------------------------
 #
-# Darts are indexed 2i (u->v) and 2i+1 (v->u) for edge i = (u, v); the
-# reverse of dart d is d ^ 1.  A traversal state is 2*d + o where o is 0
-# while rotations are read forward and 1 after an odd number of negative
-# signatures.  The successor permutation follows the traversal rule; its
-# orbits pair up under the mirror map (reverse the dart, flip the state
-# past the edge's signature), and each pair is one face.
+# The one place that numbers darts and states; face tracing here and the
+# genus search (``genus_search``) both use these functions.
+#
+# Edge i = graph.edges[i] = (u, v), u < v, has dart 2i from u to v and
+# dart 2i + 1 back: the dart from v to w is 2 * graph.edge_index[edge] +
+# (v > w), its reverse is d ^ 1 and its edge is edges[d >> 1].  A
+# traversal state is 2d + o: dart d walked with rotations read forward
+# (o = 0) or backward (o = 1, after an odd number of negative
+# signatures); there are 4m states.  A state entering a vertex along
+# dart d continues on the rotation neighbour of d ^ 1 there, in the sense
+# flipped by the sign of d's edge (``successor_pairs``).  The orbits of
+# the successor permutation pair up under the mirror map (reverse the
+# dart, flip the sense past the edge's sign), and each pair is one face.
 
 
-class _Compiled:
-    __slots__ = ("emb", "edge_index", "succ", "nstates", "head")
-
-    def __init__(self, emb: Embedding):
-        self.emb = emb
-        graph = emb.graph
-        edges = graph.edges
-        m = len(edges)
-        self.edge_index = {e: i for i, e in enumerate(edges)}
-        # out-dart at each endpoint: dart 2i goes e[0]->e[1]
-        out_darts: dict[int, list[int]] = {v: [] for v in graph.vertices}
-        neg = [emb.sig[e] < 0 for e in edges]
-        head = [0] * (2 * m)
-        for i, (u, v) in enumerate(edges):
-            head[2 * i] = v
-            head[2 * i + 1] = u
-        self.head = head
-        # rotation as next/prev out-dart per vertex
-        rot_next = [0] * (2 * m)
-        rot_prev = [0] * (2 * m)
-        for v, order in emb.rotation:
-            ds = []
-            for w in order:
-                e = edge_key(v, w)
-                i = self.edge_index[e]
-                ds.append(2 * i if e[0] == v else 2 * i + 1)
-            k = len(ds)
-            for j, d in enumerate(ds):
-                rot_next[d] = ds[(j + 1) % k]
-                rot_prev[d] = ds[(j - 1) % k]
-        # successor over states
-        succ = [0] * (4 * m)
-        for d in range(2 * m):
-            e = d >> 1
-            r = d ^ 1
-            for o in (0, 1):
-                o2 = o ^ neg[e]
-                d2 = rot_next[r] if o2 == 0 else rot_prev[r]
-                succ[2 * d + o] = 2 * d2 + o2
-        self.succ = succ
-        self.nstates = 4 * m
-
-    def _mirror(self, state: int) -> int:
-        d, o = state >> 1, state & 1
-        neg = self.emb.sig[self.emb.graph.edges[d >> 1]] < 0
-        return 2 * (d ^ 1) + (o ^ 1 ^ neg)
-
-    def orbits(self) -> list[list[int]]:
-        succ = self.succ
-        seen = bytearray(self.nstates)
-        out = []
-        for s0 in range(self.nstates):
-            if seen[s0]:
-                continue
-            orbit = []
-            s = s0
-            while not seen[s]:
-                seen[s] = 1
-                orbit.append(s)
-                s = succ[s]
-            out.append(orbit)
-        return out
-
-    def face_count(self) -> int:
-        orbits = self.orbits()
-        if len(orbits) % 2:
-            raise EmbeddingError("face orbits failed to pair up")
-        return len(orbits) // 2 if orbits else 1  # edgeless graph: one face
-
-    def face_walks(self) -> list[FaceWalk]:
-        if self.emb.graph.m == 0:
-            return [FaceWalk(())]
-        orbits = self.orbits()
-        state_orbit: dict[int, int] = {}
-        for i, orb in enumerate(orbits):
-            for s in orb:
-                state_orbit[s] = i
-        done = set()
-        walks = []
-        edges = self.emb.graph.edges
-        for i, orb in enumerate(orbits):
-            if i in done:
-                continue
-            j = state_orbit[self._mirror(orb[0])]
-            if j == i:
-                raise EmbeddingError("self-mirror face orbit; traversal invariant broken")
-            done.add(i)
-            done.add(j)
-            darts = []
-            for s in orb:
-                d = s >> 1
-                u, v = edges[d >> 1]
-                darts.append((u, v) if d & 1 == 0 else (v, u))
-            walks.append(FaceWalk(tuple(darts)))
-        return walks
+def dart(graph: Graph, v: int, w: int) -> int:
+    """The dart from v to w."""
+    return 2 * graph.edge_index[edge_key(v, w)] + (v > w)
 
 
-_compile_cache: dict[tuple, _Compiled] = {}
+def dart_ends(graph: Graph, darts: Iterable[int]) -> tuple[Dart, ...]:
+    """(tail, head) of each dart."""
+    edges = graph.edges
+    out = []
+    for d in darts:
+        u, v = edges[d >> 1]
+        out.append((v, u) if d & 1 else (u, v))
+    return tuple(out)
 
 
-def _compile(emb: Embedding) -> _Compiled:
-    key = (id(emb.graph), emb.rotation, emb.signature)
-    hit = _compile_cache.get(key)
-    if hit is not None and hit.emb.graph is emb.graph:
-        return hit
-    if len(_compile_cache) > 4096:
-        _compile_cache.clear()
-    c = _Compiled(emb)
-    _compile_cache[key] = c
-    return c
+def rotations(items: Sequence, fixed: bool = False) -> list[tuple]:
+    """All cyclic orders of ``items``: the first pinned, the rest in
+    ``itertools.permutations`` order ((d-1)! tuples).  With ``fixed``
+    only one of each mirror pair is kept, the one that is not above its
+    reversal (start-vertex symmetry reduction)."""
+    items = tuple(items)
+    if len(items) <= 2:
+        return [items]
+    first, rest = items[0], items[1:]
+    return [(first,) + p for p in itertools.permutations(rest)
+            if not fixed or p <= p[::-1]]
+
+
+def successor_pairs(rot: Sequence[int], neg: Sequence[bool]) -> list[tuple[int, int]]:
+    """The (state, successor) pairs that the rotation ``rot`` at one
+    vertex, given as its out-darts in cyclic order, fixes under the edge
+    signs ``neg`` (True = negative)."""
+    k = len(rot)
+    pairs = []
+    for j, r in enumerate(rot):
+        s = 2 * (r ^ 1)
+        nxt, prv = 2 * rot[(j + 1) % k], 2 * rot[j - 1] + 1
+        if neg[r >> 1]:
+            pairs += ((s, prv), (s + 1, nxt))
+        else:
+            pairs += ((s, nxt), (s + 1, prv))
+    return pairs
 
 
 def face_traversal(graph: Graph, emb: Embedding) -> tuple[FaceWalk, ...]:
@@ -513,14 +507,8 @@ def random_embedding(graph: Graph, rng: random.Random) -> Embedding:
 
 
 def all_rotations_at(graph: Graph, v: int) -> list[tuple[int, ...]]:
-    """All distinct cyclic orders at v: first neighbor pinned, the rest
-    permuted ((d-1)! tuples)."""
-    ns = graph.neighbors(v)
-    if len(ns) <= 2:
-        return [ns]
-    import itertools as _it
-    first, rest = ns[0], ns[1:]
-    return [(first,) + p for p in _it.permutations(rest)]
+    """All distinct cyclic orders of the neighbours of v."""
+    return rotations(graph.neighbors(v))
 
 
 def enumerate_embeddings(graph: Graph, up_to_equivalence: bool = True):
@@ -528,14 +516,13 @@ def enumerate_embeddings(graph: Graph, up_to_equivalence: bool = True):
     of rotations with signatures normalized to +1 on a spanning tree (all
     cotree patterns).  With ``up_to_equivalence=False``, all 2^E signature
     patterns are produced instead."""
-    import itertools as _it
     tree = set(graph.spanning_tree())
     cotree = [e for e in graph.edges if e not in tree] if up_to_equivalence \
         else list(graph.edges)
     per_vertex = [all_rotations_at(graph, v) for v in graph.vertices]
-    for rots in _it.product(*per_vertex):
+    for rots in itertools.product(*per_vertex):
         rotation = dict(zip(graph.vertices, rots))
-        for pattern in _it.product((1, -1), repeat=len(cotree)):
+        for pattern in itertools.product((1, -1), repeat=len(cotree)):
             signature = {e: 1 for e in graph.edges}
             for e, s in zip(cotree, pattern):
                 signature[e] = s

@@ -10,12 +10,14 @@ enumerated up to reversal, which quotients the global mirror symmetry.
 Faces are built incrementally, face by face as in G. Brinkmann, "A
 practical algorithm for the computation of the genus" (Ars Math.
 Contemp., 2022).  A face is a pair of orbits of the successor
-permutation on (dart, sense) states, and the successor of a state is
-fixed once the vertex its dart enters has a rotation.  Placing a vertex
-of degree d therefore links 2d states: each link closes an open walk
-into an orbit or joins two walks.  Walk ends and lengths live in flat
-arrays and are undone in reverse on backtrack, so a child costs O(d)
-rather than a re-trace of all 4m states.
+permutation on (dart, sense) states; the dart kernel of ``embedding``
+numbers the states and writes the successor rule, for face tracing and
+for this search alike.  The successor of a state is fixed once the
+vertex its dart enters has a rotation, so placing a vertex of degree d
+links 2d states: each link closes an open walk into an orbit or joins
+two walks.  Walk ends and lengths live in flat arrays and are undone in
+reverse on backtrack, so a child costs O(d) rather than a re-trace of
+all 4m states.
 
 A partial assignment is pruned by a genus lower bound: the faces
 already closed plus (open traversals // min_face) can only overestimate
@@ -35,8 +37,8 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, GraphError, blocks, edge_key
-from .embedding import Embedding
+from .graph import Edge, Graph, GraphError, blocks
+from .embedding import Embedding, dart, dart_ends, rotations, successor_pairs
 
 
 DEFAULT_BUDGET = 5_000_000
@@ -138,20 +140,13 @@ class GenusProfile:
 
 
 class _SearchSpace:
-    """Dart tables and rotation lists for one graph, reused across all
-    signature patterns and embeddings tried.
-
-    Dart ``2i`` runs along edge i from its smaller to its larger end, dart
-    ``2i + 1`` back.  A traversal state ``2d + o`` is dart d walked in
-    sense o (0 = positive); there are 4m states.
-    """
+    """BFS vertex order, rotation lists and face-length bound for one
+    graph, reused across all signature patterns.  Rotations are tuples
+    of out-darts and states are numbered as in the dart kernel of
+    ``embedding``."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.edges = graph.edges
-        self.m = graph.m
-        self.n = graph.n
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
         # BFS vertex order from the smallest vertex (graph is connected)
         order = []
         seen = set()
@@ -170,58 +165,21 @@ class _SearchSpace:
                             nxt.append(w)
                 queue = nxt
         self.vertex_order = order
-        self.out_darts = {v: tuple(self._dart(v, w) for w in graph.neighbors(v))
-                          for v in graph.vertices}
-        self.rotations = {v: self._rotations_at(v, fixed=(i == 0))
+        self.rotations = {v: rotations([dart(graph, v, w) for w in graph.neighbors(v)],
+                                       fixed=(i == 0))
                           for i, v in enumerate(order)}
         # a lower bound on every face length (see the module docstring)
-        if self.m < 2:
+        if graph.m < 2:
             self.min_face = 2
-        elif all(len(ds) >= 2 for ds in self.out_darts.values()):
+        elif all(graph.degree(v) >= 2 for v in graph.vertices):
             self.min_face = graph.girth()
         else:
             self.min_face = 3
 
-    def _dart(self, v: int, w: int) -> int:
-        e = edge_key(v, w)
-        i = self.edge_index[e]
-        return 2 * i if e[0] == v else 2 * i + 1
-
-    def _rotations_at(self, v: int, fixed: bool) -> list[tuple[int, ...]]:
-        """Cyclic orders at v as dart tuples; with ``fixed`` only one of
-        each mirror pair is kept (start-vertex symmetry reduction)."""
-        ds = self.out_darts[v]
-        if len(ds) <= 2:
-            return [ds]
-        first, rest = ds[0], ds[1:]
-        out = []
-        for p in itertools.permutations(rest):
-            rot = (first,) + p
-            if fixed:
-                mirror = (first,) + tuple(reversed(p))
-                if mirror < rot:
-                    continue
-            out.append(rot)
-        return out
-
-    def choices(self, v: int, neg: list[bool]) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    def choices(self, v: int, neg: list[bool]) -> tuple[tuple[tuple[int, ...], list], ...]:
         """Each rotation at v with the (state, successor) pairs it fixes
-        under the edge signs ``neg``: a state entering v along dart d
-        continues on the rotation neighbour of the reverse dart, in the
-        sense flipped by the sign of d's edge."""
-        out = []
-        for rot in self.rotations[v]:
-            k = len(rot)
-            pairs = []
-            for j, r in enumerate(rot):
-                d = r ^ 1
-                flip = neg[r >> 1]
-                for o in (0, 1):
-                    o2 = o ^ flip
-                    d2 = rot[(j + 1) % k] if o2 == 0 else rot[j - 1]
-                    pairs.append((2 * d + o, 2 * d2 + o2))
-            out.append((rot, tuple(pairs)))
-        return tuple(out)
+        under the edge signs ``neg``."""
+        return tuple((rot, successor_pairs(rot, neg)) for rot in self.rotations[v])
 
 
 class _FaceTracker:
@@ -291,11 +249,11 @@ def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
     entering it, so each child costs O(deg v), not a re-trace of all 4m
     states.
     """
-    neg = [signature[e] < 0 for e in space.edges]
+    neg = [signature[e] < 0 for e in space.graph.edges]
     order = space.vertex_order
     n = len(order)
-    m = space.m
-    base = 2 - space.n + m  # Euler genus = base - faces
+    m = space.graph.m
+    base = 2 - n + m  # Euler genus = base - faces
     min_face = space.min_face
     faces = _FaceTracker(4 * m)
     link, unlink = faces.link, faces.unlink
@@ -334,12 +292,9 @@ def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
     return best, best_rot
 
 
-def _rotation_dict(space: _SearchSpace, rot: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
-    heads = {}
-    for i, (u, v) in enumerate(space.edges):
-        heads[2 * i] = v
-        heads[2 * i + 1] = u
-    return {v: [heads[d] for d in ds] for v, ds in rot.items()}
+def _rotation_dict(graph: Graph, rot: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """Dart rotations as neighbour rotations."""
+    return {v: [w for _, w in dart_ends(graph, ds)] for v, ds in rot.items()}
 
 
 def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
@@ -399,11 +354,11 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
         orient_wit = emb
         exact = False
     else:
-        orient_wit = Embedding.build(graph, _rotation_dict(space, orient_rot))
+        orient_wit = Embedding.build(graph, _rotation_dict(graph, orient_rot))
 
     nonor_wit = None
     if nonor_best is not None:
-        nonor_wit = Embedding.build(graph, _rotation_dict(space, nonor_rot),
+        nonor_wit = Embedding.build(graph, _rotation_dict(graph, nonor_rot),
                                     {e: s for e, s in nonor_sig.items()})
     elif cotree and exact:
         raise SearchCheckError("nonorientable pattern sweep found no embedding")

@@ -96,6 +96,11 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Position of each edge in ``edges`` (darts are numbered from it)."""
+        return {e: i for i, e in enumerate(self.edges)}
+
     # -- subgraphs and components ----------------------------------------
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .graph import Edge, Graph, GraphError, bridges_on, edge_key
-from .embedding import (Dart, Embedding, EmbeddingError, FaceWalk, check_cycle,
+from .embedding import (Dart, Embedding, EmbeddingError, FaceWalk, check_cycle, dart_ends,
                         _cyclic_rotations)
 
 
@@ -646,19 +646,8 @@ def _oriented_faces(emb: Embedding) -> list[tuple[Dart, ...]]:
     norm = emb.normalize_signatures()
     if any(s < 0 for _, s in norm.signature):
         raise TopologyError("oriented faces: embedding is not orientable")
-    from .embedding import _compile
-    comp = _compile(norm)
-    walks = []
-    edges = norm.graph.edges
-    for orbit in comp.orbits():
-        if all(s & 1 == 0 for s in orbit):  # states in the forward sense
-            darts = []
-            for s in orbit:
-                d = s >> 1
-                u, v = edges[d >> 1]
-                darts.append((u, v) if d & 1 == 0 else (v, u))
-            walks.append(tuple(darts))
-    return walks
+    return [dart_ends(norm.graph, [s >> 1 for s in orbit]) for orbit in norm.orbits
+            if not any(s & 1 for s in orbit)]  # every state in the forward sense
 
 
 def _cycle_direction_bit(faces: list[tuple[Dart, ...]],

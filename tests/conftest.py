@@ -8,27 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from surface_minors.graph import Graph
 from surface_minors.embedding import Embedding
-
-
-def complete(n: int) -> Graph:
-    return Graph.build(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.build(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.build(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def wheel(rim: int) -> Graph:
-    return Graph.build(range(rim + 1), [(0, i) for i in range(1, rim + 1)]
-                       + [(i, i % rim + 1) for i in range(1, rim + 1)])
+from surface_minors.corpus import (complete, complete_bipartite, cycle_graph,  # noqa: F401
+                                   path_graph, torus_grid, wheel)
 
 
 def rotations_from_positions(g: Graph, pos: dict) -> dict:
@@ -46,20 +27,6 @@ def planar_embedding(g: Graph) -> Embedding:
     assert ok, "graph is not planar"
     return Embedding.build(g, rotation={v: list(pe.neighbors_cw_order(v))
                                         for v in g.vertices})
-
-
-def torus_grid(rows: int, cols: int):
-    def vid(i, j):
-        return cols * (i % rows) + (j % cols)
-    edges = set()
-    for i in range(rows):
-        for j in range(cols):
-            edges.add(tuple(sorted((vid(i, j), vid(i + 1, j)))))
-            edges.add(tuple(sorted((vid(i, j), vid(i, j + 1)))))
-    g = Graph.build(range(rows * cols), edges)
-    rot = {vid(i, j): [vid(i - 1, j), vid(i, j + 1), vid(i + 1, j), vid(i, j - 1)]
-           for i in range(rows) for j in range(cols)}
-    return g, Embedding.build(g, rotation=rot)
 
 
 @pytest.fixture(scope="session")

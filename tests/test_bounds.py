@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from surface_minors.bounds import FloorUncertain, certified_floor_log, log2_of_int
+from surface_minors.bounds import (FloorUncertain, Log2Interval, certified_floor_log,
+                                   log2_of_int, log2_of_sum)
 
 
 def exact_floor_log(value: int, num: int, den: int = 1) -> int:
@@ -36,3 +39,47 @@ def test_log2_separates_neighbours_of_a_power_of_two():
     # keep its exact endpoints to tell them apart
     below, above = log2_of_int(2 ** 70 - 1), log2_of_int(2 ** 70 + 1)
     assert below.lo < below.hi < 70 < above.lo < above.hi
+
+
+def log2_cmp(h: Fraction, value: Fraction) -> int:
+    """Sign of h - log2(value), decided exactly: a power of two has an
+    integer logarithm, any other value an irrational one, which certified
+    enclosures at growing precision separate from h."""
+    p, q = value.numerator, value.denominator
+    if p & (p - 1) == 0 and q & (q - 1) == 0:
+        k = p.bit_length() - q.bit_length()
+        return (h > k) - (h < k)
+    for prec in (256, 1024, 4096):
+        ref = log2_of_int(p, prec) - log2_of_int(q, prec)
+        if h < ref.lo:
+            return -1
+        if h > ref.hi:
+            return 1
+    raise AssertionError(f"{h} not separated from log2({value})")
+
+
+def assert_encloses_sums(a: Log2Interval, b: Log2Interval, low: Fraction, high: Fraction):
+    """log2_of_sum(a, b) reaches from log2(low) to log2(high), the exact
+    sums at the matching ends of a and b."""
+    s = log2_of_sum(a, b)
+    assert log2_cmp(s.lo, low) <= 0 <= log2_cmp(s.hi, high)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 7, 3 ** 40, 2 ** 60, 2 ** 60 + 1])
+@pytest.mark.parametrize("y", [1, 5, 2 ** 60 - 1, 3 ** 41])
+def test_log2_of_sum_encloses_integer_sums(x, y):
+    a, b = log2_of_int(x), log2_of_int(y)
+    assert_encloses_sums(a, b, Fraction(x + y), Fraction(x + y))
+    # an interval spanning two values takes the sums at both ends
+    wide = Log2Interval(a.lo, log2_of_int(5 * x).hi)
+    assert_encloses_sums(wide, b, Fraction(x + y), Fraction(5 * x + y))
+
+
+def test_log2_of_sum_takes_the_larger_upper_end():
+    # the upper end is log2(2^0 + 2^5) = log2 33, not 1 + max(lower ends)
+    assert_encloses_sums(Log2Interval(Fraction(0), Fraction(0)),
+                         Log2Interval(Fraction(-1), Fraction(5)), Fraction(3, 2), Fraction(33))
+    # log2(1 + 2**-60) is positive, although a float rounds it to 0
+    tiny = Fraction(1) + Fraction(1, 2 ** 60)
+    assert_encloses_sums(Log2Interval(Fraction(0), Fraction(0)),
+                         Log2Interval(Fraction(-60), Fraction(-60)), tiny, tiny)

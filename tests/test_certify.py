@@ -142,6 +142,8 @@ def test_superadditive_bound_transfer():
     # a constant function fails superadditivity
     const = lambda g: 7
     assert not check_superadditive_bound_transfer(const, 1, 1)
-    # the identity passes (equality case)
+    # g + 1 is increasing but not superadditive: N(2) = 3 < N(1) + N(1) = 4
     ident = lambda g: g + 1
-    assert check_superadditive_bound_transfer(ident, 1, 1) in (True, False)
+    assert check_superadditive_bound_transfer(ident, 1, 1) is False
+    # 2^g is: N(3) = 8 >= N(1) + N(2) = 6
+    assert check_superadditive_bound_transfer(lambda g: 2 ** g, 1, 2) is True

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from surface_minors import genus_search
 from surface_minors.cli import main
 from surface_minors.graph import Graph, graph6_encode
 from conftest import complete, complete_bipartite
@@ -13,6 +14,20 @@ def test_genus_json_on_k5(capsys):
     assert code == 0
     assert (out["orientable_min"], out["nonorientable_min"]) == (2, 1)
     assert out["exact"] is True
+
+
+def test_exhausted_budget_exits_3(monkeypatch, capsys):
+    # exit code 3 means "unknown": the budget ran out before an answer;
+    # an empty profile cache keeps exact K5 profiles of other tests out
+    monkeypatch.setenv("SURFACE_MINORS_BUDGET", "50")
+    monkeypatch.setattr(genus_search, "_profile_cache", {})
+    k5 = graph6_encode(complete(5))
+    code = main(["genus", "--graph6", k5, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["exact"] is False
+    code = main(["embeddable", "--graph6", k5, "--surface", "0:orientable", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["embeddable"] is None
 
 
 def test_malformed_budget_env_is_a_cli_error(monkeypatch, capsys):
