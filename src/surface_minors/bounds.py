@@ -307,18 +307,18 @@ def recompute_identities(g: int, tol_log2: Fraction = Fraction(1, 2 ** 64)) -> d
     return out
 
 
-def log2_of_sum(a: Log2Interval, b: Log2Interval, prec: int = 192) -> Log2Interval:
+def log2_of_sum(a: Log2Interval, b: Log2Interval) -> Log2Interval:
     """Enclosure of log2(2^x + 2^y) over x in a and y in b.  The sum
     grows with both terms, so each end is the value at the matching ends
     of a and b, enclosed by interval arithmetic."""
-    return Log2Interval(_log2_sum_at(a.lo, b.lo, prec).lo, _log2_sum_at(a.hi, b.hi, prec).hi)
+    return Log2Interval(_log2_sum_at(a.lo, b.lo).lo, _log2_sum_at(a.hi, b.hi).hi)
 
 
-def _log2_sum_at(x: Fraction, y: Fraction, prec: int) -> Log2Interval:
+def _log2_sum_at(x: Fraction, y: Fraction) -> Log2Interval:
     """Certified log2(2^x + 2^y) = top + log2(1 + 2^gap), where top is
     the larger exponent and gap <= 0 the other one less top."""
     top, gap = max(x, y), min(x, y) - max(x, y)
-    with _iv_precision(prec):
+    with _iv_precision(192):
         r = iv.log(1 + iv.mpf(2) ** (iv.mpf(gap.numerator) / iv.mpf(gap.denominator))) \
             / iv.log(iv.mpf(2))
     lo, hi = _interval_ends(r)

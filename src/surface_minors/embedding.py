@@ -412,8 +412,8 @@ def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
 # genus search (``genus_search``) both use these functions.
 #
 # Edge i = graph.edges[i] = (u, v), u < v, has dart 2i from u to v and
-# dart 2i + 1 back: the dart from v to w is 2 * graph.edge_index[edge] +
-# (v > w), its reverse is d ^ 1 and its edge is edges[d >> 1].  A
+# dart 2i + 1 back: the dart from v to w is 2i + (v > w) for its edge i
+# (``dart``), its reverse is d ^ 1 and its edge is edges[d >> 1].  A
 # traversal state is 2d + o: dart d walked with rotations read forward
 # (o = 0) or backward (o = 1, after an odd number of negative
 # signatures); there are 4m states.  A state entering a vertex along
@@ -425,7 +425,7 @@ def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
 
 def dart(graph: Graph, v: int, w: int) -> int:
     """The dart from v to w."""
-    return 2 * graph.edge_index[edge_key(v, w)] + (v > w)
+    return 2 * graph._edge_index[edge_key(v, w)] + (v > w)
 
 
 def dart_ends(graph: Graph, darts: Iterable[int]) -> tuple[Dart, ...]:

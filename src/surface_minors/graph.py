@@ -97,7 +97,7 @@ class Graph:
         return frozenset(self.edges)
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
+    def _edge_index(self) -> dict[Edge, int]:
         """Position of each edge in ``edges`` (darts are numbered from it)."""
         return {e: i for i, e in enumerate(self.edges)}
 
