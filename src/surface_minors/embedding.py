@@ -71,10 +71,13 @@ class FaceWalk:
 
 
 def _cyclic_rotations(seq: tuple) -> tuple:
-    n = len(seq)
-    if n == 0:
+    """The least rotation of ``seq``.  It starts with the least element,
+    so only rotations starting there are built: O(len) unless that
+    element repeats, as a dart may in a nonorientable facial walk."""
+    if not seq:
         return seq
-    return min(seq[i:] + seq[:i] for i in range(n))
+    least = min(seq)
+    return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == least)
 
 
 @dataclass(frozen=True)

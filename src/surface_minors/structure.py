@@ -238,11 +238,7 @@ def is_nested(graph: Graph, emb: Embedding, inner: Sequence[int],
     aout = _classified(graph, emb, outer, outer_face, cache)
     if not (ain.is_contractible and aout.is_contractible):
         return False
-    interior = aout.side_vertices(aout.int_side())
-    if not set(ain.cycle) <= interior:
-        return False
-    side_edges = aout.side_edges(aout.int_side()) | set(_cycle_edges(aout.cycle))
-    return set(_cycle_edges(ain.cycle)) <= side_edges
+    return aout.int_vertices.issuperset(ain.cycle) and ain.edges <= aout.int_edges
 
 
 def _classified(graph: Graph, emb: Embedding, cycle: Sequence[int],
@@ -739,7 +735,7 @@ def closest_enclosing_cycle(graph: Graph, emb: Embedding, outer: Sequence[int],
         return ClosestCycle(None, "innermost")
     # group the complement faces into regions: two faces merge when they
     # share an edge not on the union subgraph H = outer + given faces
-    h_edges = set(_cycle_edges(ana.cycle))
+    h_edges = set(ana.edges)
     for f in face_list:
         h_edges |= f.edge_set
     keys = sorted(hole_keys)
@@ -842,8 +838,7 @@ def square_verdict(graph: Graph, emb: Embedding, emb_e: Embedding,
         raise StructureError("square_verdict: not a contractible square "
                              "(closest-cycle condition failed)")
     a_inner = _classified(graph, emb, inner, outer_face, cache)
-    if ek not in a_inner.side_edges(a_inner.int_side()) or \
-            ek in set(_cycle_edges(a_inner.cycle)):
+    if ek not in a_inner.int_edges or ek in a_inner.edges:
         raise StructureError("square_verdict: edge is not interior to the inner cycle")
     e_faces = {f.key for f in emb_e.faces()}
     b = boundary_faces(graph, emb, outer, middle, outer_face, cache)

@@ -175,6 +175,21 @@ class CycleAnalysis:
     def is_contractible(self) -> bool:
         return self.classification.contractible
 
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """C's edges."""
+        return frozenset(_cycle_edges(self.cycle))
+
+    @cached_property
+    def int_vertices(self) -> frozenset[int]:
+        """C and the vertices on its disk side."""
+        return self.side_vertices(self.int_side())
+
+    @cached_property
+    def int_edges(self) -> frozenset[Edge]:
+        """C's edges and the edges on its disk side."""
+        return self.side_edges(self.int_side())
+
     def int_side(self) -> str:
         if not self.classification.contractible:
             raise TopologyError("Int/Ext: cycle is not contractible")
@@ -196,17 +211,13 @@ class CycleAnalysis:
     def side_edges(self, side: str) -> frozenset[Edge]:
         """C's edges and the edges reached from the given side of C."""
         root = self._side_root(side)
-        cset = set(self.cycle)
-        cyc_edges = set(_cycle_edges(self.cycle))
+        cset, cyc_edges = set(self.cycle), self.edges
         return frozenset(e for e in self.graph.edges if e in cyc_edges
                          or self.roots[_end_node(cset, self.end_side, *e)] == root)
 
     def int_subgraph(self) -> Graph:
         """Int(C) = C together with the bridges on its disk side."""
-        side = self.int_side()
-        edges = self.side_edges(side)
-        verts = self.side_vertices(side)
-        return self.graph.edge_subgraph(edges, extra_vertices=verts)
+        return self.graph.edge_subgraph(self.int_edges, extra_vertices=self.int_vertices)
 
     def ext_subgraph(self) -> Graph:
         side = self.int_side()
@@ -217,16 +228,16 @@ class CycleAnalysis:
 
     def interior_vertices(self) -> frozenset[int]:
         """Vertices strictly inside C (in int, not on C)."""
-        return self.side_vertices(self.int_side()) - set(self.cycle)
+        return self.int_vertices - set(self.cycle)
 
     def faces_inside(self) -> tuple[FaceWalk, ...]:
         """The faces of (G, Pi) lying strictly inside C: those whose first
         edge off C is on the Int side.  A face made only of C's edges is
         not inside, so a cycle bounding a disk has no inside faces."""
         root = self.roots[self.int_side()]
-        cset, cyc_edges = set(self.cycle), set(_cycle_edges(self.cycle))
+        cset = set(self.cycle)
         return tuple(f for f in self.embedding.faces()
-                     if _face_root(f, cset, cyc_edges, self.end_side, self.roots) == root)
+                     if _face_root(f, cset, self.edges, self.end_side, self.roots) == root)
 
 
 def _face_root(face: FaceWalk, cset: set[int], cyc_edges: set[Edge],
@@ -601,7 +612,7 @@ def _lift_cycle(cut: CutResult, analysis: CycleAnalysis,
             w = cyc2[j % l]
             if w not in cset or edge_key(v, w) not in analysis.graph.edge_set:
                 continue
-            if edge_key(v, w) in set(_cycle_edges(analysis.cycle)):
+            if edge_key(v, w) in analysis.edges:
                 continue  # shared edge: side comes from elsewhere
             # non-shared C2-edge end at v
             s = analysis.end_side.get((v, w))

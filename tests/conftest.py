@@ -12,6 +12,13 @@ from surface_minors.corpus import (complete, complete_bipartite, cycle_graph,  #
                                    path_graph, torus_grid, wheel)
 
 
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols planar grid; vertex r * cols + c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.build(range(rows * cols), edges)
+
+
 def rotations_from_positions(g: Graph, pos: dict) -> dict:
     """Planar rotation system read off from straight-line coordinates."""
     return {v: tuple(sorted(g.neighbors(v),

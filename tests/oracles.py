@@ -4,8 +4,8 @@ Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
 no pruning and no symmetry reduction, treewidth is minimized over all
-elimination orderings, and separators come from exhaustive subset
-checks.
+elimination orderings or by the recurrence over all vertex subsets, and
+separators come from exhaustive subset checks.
 """
 
 from __future__ import annotations
@@ -164,6 +164,59 @@ def brute_force_treewidth(graph: Graph) -> int:
                 adj[a].discard(v)
         best = min(best, width)
     return best
+
+
+def subset_dp_treewidth(graph: Graph) -> int:
+    """Treewidth by the full recurrence over all 2^n vertex subsets (the
+    Bodlaender-Fomin-Koster-Kratsch-Thilikos recurrence): best[S] is the
+    least width of an order eliminating S first (n <= 14)."""
+    assert graph.n <= 14
+    vertices = list(graph.vertices)
+    n = len(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    adj_bits = [0] * n
+    for u, v in graph.edges:
+        adj_bits[pos[u]] |= 1 << pos[v]
+        adj_bits[pos[v]] |= 1 << pos[u]
+    full = (1 << n) - 1
+
+    def cost_of(v: int, eliminated: int) -> int:
+        # neighbors of v in the fill graph after eliminating `eliminated`:
+        # vertices reachable from v through eliminated vertices
+        seen = 1 << v
+        stack = [v]
+        nbrs = 0
+        while stack:
+            u = stack.pop()
+            cand = adj_bits[u] & ~seen
+            seen |= cand
+            direct = cand & ~eliminated
+            nbrs |= direct
+            through = cand & eliminated
+            while through:
+                w = (through & -through).bit_length() - 1
+                stack.append(w)
+                through &= through - 1
+        return bin(nbrs).count("1")
+
+    best: dict[int, int] = {0: 0}
+    # iterate subsets by popcount so predecessors exist
+    by_count: list[list[int]] = [[] for _ in range(n + 1)]
+    for s in range(1 << n):
+        by_count[bin(s).count('1')].append(s)
+    for size in range(1, n + 1):
+        for s in by_count[size]:
+            val = None
+            rest = s
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                prev = best[s & ~(1 << v)]
+                c = max(prev, cost_of(v, s & ~(1 << v)))
+                if val is None or c < val:
+                    val = c
+            best[s] = val
+    return best[full]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
-from surface_minors import genus_search
+from surface_minors import corpus, genus_search
 from surface_minors.cli import main
 from surface_minors.graph import Graph, graph6_encode
-from conftest import complete, complete_bipartite
+from surface_minors.treedecomp import TreeDecomposition, validate
+from conftest import complete, complete_bipartite, grid
 
 
 def test_genus_json_on_k5(capsys):
@@ -55,3 +57,26 @@ def test_seed_is_a_corpus_option_only(capsys):
         main(["genus", "--graph6", graph6_encode(complete(5)), "--seed", "1"])
     assert exc.value.code == 2
     assert main(["corpus", "verify", "--json", "--seed", "1"]) == 0
+
+
+def test_treedecomp_exact_json_on_the_4x5_grid(capsys):
+    g = grid(4, 5)
+    code = main(["treedecomp", "--graph6", graph6_encode(g), "--mode", "exact", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["width"] == 4 and out["exact"] is True
+    assert validate(g, TreeDecomposition.from_json_obj(out)) == (True, None)
+
+
+def test_failed_corpus_verify_exits_2(monkeypatch, capsys):
+    # K4's stored profile (0, 1) is replaced by a wrong (1, 1)
+    entries = corpus.build_corpus()
+    k4 = entries[0]
+    (key, expected, provenance), = k4.facts
+    assert (k4.name, key, expected) == ("K4", "genus_profile", (0, 1))
+    wrong = dataclasses.replace(k4, facts=((key, (1, 1), provenance),))
+    monkeypatch.setattr(corpus, "build_corpus", lambda: [wrong] + entries[1:])
+    code = main(["corpus", "verify", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["ok"] is False
+    assert len(out["failed"]) == 1 and out["failed"][0].startswith("K4: genus_profile = (1, 1)")

@@ -213,6 +213,30 @@ def test_face_walk_canonical_key():
     assert w1.is_cycle()
 
 
+def _least_of_all_rotations(darts: tuple) -> tuple:
+    """The canonical key by its definition: the least rotation of the walk
+    or of its reversal, every rotation built."""
+    rev = tuple((b, a) for a, b in reversed(darts))
+    return min(seq[i:] + seq[:i] for seq in (darts, rev) for i in range(len(seq)))
+
+
+def test_face_key_is_the_least_of_all_rotations():
+    # a nonorientable facial walk can pass a dart twice; its key must
+    # try every position holding the least dart, here the second one
+    twice = FaceWalk(((0, 1), (1, 3), (3, 0), (0, 1), (1, 2), (2, 0)))
+    assert twice.key == _least_of_all_rotations(twice.darts) == twice.darts[3:] + twice.darts[:3]
+    rng = random.Random(5)
+    repeated = 0
+    for g in (complete(6), complete(7)):
+        for _ in range(20):
+            emb = random_embedding(g, rng)
+            for e in (emb, Embedding.build(g, emb.rot)):
+                for f in e.faces():
+                    assert f.key == _least_of_all_rotations(f.darts)
+                    repeated += f.darts.count(min(f.darts)) > 1
+    assert repeated
+
+
 def test_embedding_json_roundtrip_bit_exact():
     rng = random.Random(9)
     for _ in range(20):
