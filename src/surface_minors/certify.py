@@ -21,7 +21,7 @@ from .topology import classify_cycle
 from .structure import enumerate_cycles
 
 
-PRUNING_VERSION = "girth-face-bound-v2"
+PRUNING_VERSION = "walk-face-bound-floor-parity-v3"
 
 
 class CertificationError(ValueError):

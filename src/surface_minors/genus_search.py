@@ -19,13 +19,24 @@ two walks.  Walk ends and lengths live in flat arrays and are undone in
 reverse on backtrack, so a child costs O(d) rather than a re-trace of
 all 4m states.
 
-A partial assignment is pruned by a genus lower bound: the faces
-already closed plus (open traversals // min_face) can only overestimate
-the final face count, where min_face is a lower bound on the length of
-every face.  It is 3 in a simple graph with at least two edges, and the
-girth when every vertex has degree at least 2: a facial walk turns
-straight back only at a degree-1 vertex, so otherwise every face
-contains a cycle.
+A partial assignment is pruned by a genus lower bound.  Let min_face be
+a lower bound on the length of every face: 3 in a simple graph with at
+least two edges, and the girth when every vertex has degree at least 2
+(a facial walk turns straight back only at a degree-1 vertex, so
+otherwise every face contains a cycle).  Every orbit still to close is
+a union of current open walks holding at least min_face states, so
+there are at most (sum over open walks of min(length, min_face)) //
+min_face of them; with the orbits already closed this overestimates
+twice the final face count.  Orientable Euler genus is even, so on the
+all-positive pattern a child survives only if its bound is at least 2
+below the incumbent, on the other patterns at least 1.
+
+No embedding has more than 2m // min_face faces, which gives a floor on
+the Euler genus: that bound rounded up to even and at least 0 on the
+orientable side, at least 1 on the nonorientable side.  A pattern's
+search stops once its incumbent meets the floor, and the sweep skips
+the remaining nonorientable patterns once the nonorientable minimum
+meets it.  The budget counts child evaluations, the unit of work.
 
 The pruning is verified against an unpruned oracle in the test suite on
 every connected graph with at most eight edges.
@@ -63,7 +74,9 @@ def default_budget() -> int:
 
 
 class BudgetExceeded(Exception):
-    """Search stopped before the space was exhausted."""
+    """Search stopped before the space was exhausted; ``explored`` is the
+    number of child evaluations (one rotation placed at one vertex) made
+    until then."""
 
     def __init__(self, message: str, explored: int):
         super().__init__(message)
@@ -118,6 +131,8 @@ class GenusProfile:
     nonorientable embedding at all).  Witness embeddings re-evaluate to
     the claimed genus.  ``exact`` is False when the search budget ran out,
     in which case the minima are upper bounds, each with its witness.
+    ``explored`` counts child evaluations, the unit of the budget: one
+    rotation placed at one vertex, whether or not the bound prunes it.
     """
 
     orientable_min: int
@@ -192,62 +207,89 @@ class _FaceTracker:
     ``end_of[s]`` and ``length[s]`` are the last state and the number of
     states of the open walk starting at s.  Only entries at walk ends are
     kept current; the stale ones are exactly what undo needs.
+    ``walk_sum`` is the sum over open walks of min(length, min_face).
     """
 
-    __slots__ = ("start_of", "end_of", "length", "orbits", "used")
+    __slots__ = ("start_of", "end_of", "length", "min_face", "orbits", "walk_sum")
 
-    def __init__(self, nstates: int):
+    def __init__(self, nstates: int, min_face: int):
         self.start_of = list(range(nstates))
         self.end_of = list(range(nstates))
         self.length = [1] * nstates
+        self.min_face = min_face
         self.orbits = 0  # closed orbits
-        self.used = 0    # states on closed orbits
+        self.walk_sum = nstates  # every state starts as a walk of length 1
 
     def link(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Fix succ(s) = t for each pair; s must end an open walk and t
         start one.  A link within one walk closes it into an orbit."""
-        start_of, end_of, length = self.start_of, self.end_of, self.length
-        closed = closed_len = 0
+        start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
+        closed = delta = 0
         for s, t in pairs:
             a = start_of[s]
+            lt = length[t]
             if a == t:
                 closed += 1
-                closed_len += length[t]
+                delta -= lt if lt < cap else cap
             else:
                 b = end_of[t]
                 end_of[a] = b
                 start_of[b] = a
-                length[a] += length[t]
+                la = length[a]
+                length[a] = la + lt
+                # the joined walk counts min(la + lt, cap), the two parts
+                # min(la, cap) + min(lt, cap)
+                if la >= cap:
+                    delta -= lt if lt < cap else cap
+                elif lt >= cap:
+                    delta -= la
+                elif la + lt > cap:
+                    delta += cap - la - lt
         self.orbits += closed
-        self.used += closed_len
+        self.walk_sum += delta
 
     def unlink(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Undo the matching ``link`` call; calls must nest."""
-        start_of, end_of, length = self.start_of, self.end_of, self.length
-        closed = closed_len = 0
+        start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
+        closed = delta = 0
         for s, t in reversed(pairs):
             a = start_of[s]
+            lt = length[t]
             if a == t:
                 closed += 1
-                closed_len += length[t]
+                delta += lt if lt < cap else cap
             else:
                 b = end_of[t]
                 end_of[a] = s
                 start_of[b] = t
-                length[a] -= length[t]
+                la = length[a] - lt
+                length[a] = la
+                if la >= cap:
+                    delta += lt if lt < cap else cap
+                elif lt >= cap:
+                    delta += la
+                elif la + lt > cap:
+                    delta -= cap - la - lt
         self.orbits -= closed
-        self.used -= closed_len
+        self.walk_sum += delta
 
 
-def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
-                    best_start: int, counter: list[int], budget: int) -> tuple[int, dict | None]:
+class _FloorReached(Exception):
+    """The incumbent of ``_search_pattern`` met the floor; no leaf can
+    beat it."""
+
+
+def _search_pattern(space: _SearchSpace, signature: dict[Edge, int], best_start: int,
+                    floor: int, counter: list[int], budget: int) -> tuple[int, dict | None]:
     """Branch and bound over rotations for one fixed signature pattern.
     Returns (best genus found, rotation dict of a witness) with genus
-    taken below ``best_start`` only.
+    taken below ``best_start`` only, and stops as soon as it reaches
+    ``floor``, a lower bound on every leaf of the pattern.
 
     Placing the rotation at a vertex links the successor of every state
     entering it, so each child costs O(deg v), not a re-trace of all 4m
-    states.
+    states.  ``counter`` counts these child evaluations against
+    ``budget``.
     """
     neg = [signature[e] < 0 for e in space.graph.edges]
     order = space.vertex_order
@@ -255,18 +297,20 @@ def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
     m = space.graph.m
     base = 2 - n + m  # Euler genus = base - faces
     min_face = space.min_face
-    faces = _FaceTracker(4 * m)
+    # on the all-positive pattern every leaf is orientable, so even
+    step = 2 if not any(neg) else 1
+    faces = _FaceTracker(4 * m, min_face)
     link, unlink = faces.link, faces.unlink
     options_at: list[tuple | None] = [None] * n  # per vertex, built on first visit
     best = best_start
     best_rot: dict | None = None
+    # a child survives when its bound base - (orbits + walk_sum // min_face) // 2
+    # is at most best - step, that is when orbits + walk_sum // min_face >= need
+    need = 2 * (base - best + step)
     chosen: list[tuple[int, ...]] = [()] * n
 
     def rec(idx: int):
-        nonlocal best, best_rot
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded("rotation search budget exhausted", counter[0])
+        nonlocal best, best_rot, need
         if idx == n:
             if faces.orbits % 2:
                 raise SearchCheckError(f"odd number of facial orbits ({faces.orbits})")
@@ -274,21 +318,30 @@ def _search_pattern(space: _SearchSpace, signature: dict[Edge, int],
             if genus < best:
                 best = genus
                 best_rot = dict(zip(order, chosen))
+                if best <= floor:
+                    raise _FloorReached
+                need = 2 * (base - best + step)
             return
         options = options_at[idx]
         if options is None:
             options = options_at[idx] = space.choices(order[idx], neg)
         for rot, pairs in options:
+            counter[0] += 1
+            if counter[0] > budget:
+                raise BudgetExceeded("rotation search budget exhausted", counter[0])
             link(pairs)
-            # each face is two orbits, one per sense; the open traversals
-            # can still form at most (open length) // min_face faces
-            if idx == 0 or base - (faces.orbits // 2
-                                   + (2 * m - faces.used // 2) // min_face) < best:
+            # each face is two orbits, one per sense; every future orbit
+            # joins open walks holding at least min_face states, so there
+            # are at most walk_sum // min_face of them
+            if faces.orbits + faces.walk_sum // min_face >= need:
                 chosen[idx] = rot
                 rec(idx + 1)
             unlink(pairs)
 
-    rec(0)
+    try:
+        rec(0)
+    except _FloorReached:
+        pass
     return best, best_rot
 
 
@@ -325,18 +378,25 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     nonor_sig = None
     exact = True
 
+    # no embedding has more than 2m // min_face faces
+    low = 2 - graph.n + graph.m - 2 * graph.m // space.min_face
+    orient_floor = max(0, low + low % 2)
+    nonor_floor = max(1, low)
     patterns = sorted(itertools.product((1, -1), repeat=len(cotree)),
                       key=lambda p: sum(1 for s in p if s < 0))
     try:
         for pattern in patterns:
+            orientable = all(s > 0 for s in pattern)
+            if not orientable and nonor_best == nonor_floor:
+                break
             signature = {e: 1 for e in graph.edges}
             for e, s in zip(cotree, pattern):
                 signature[e] = s
-            orientable = all(s > 0 for s in pattern)
             start = (orient_best if orientable else nonor_best)
             cap = 2 * (len(cotree) + 1) + 2  # any embedding beats this
             found, rot = _search_pattern(space, signature,
                                          start if start is not None else cap,
+                                         orient_floor if orientable else nonor_floor,
                                          counter, budget)
             if rot is not None:
                 if orientable:

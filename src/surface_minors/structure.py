@@ -234,8 +234,12 @@ def is_nested(graph: Graph, emb: Embedding, inner: Sequence[int],
               cache: dict | None = None) -> bool:
     """Whether ``inner`` lies in Int(outer): both contractible and the
     inner cycle's vertices and edges inside the outer one."""
-    ain = _classified(graph, emb, inner, outer_face, cache)
-    aout = _classified(graph, emb, outer, outer_face, cache)
+    return _nested(_classified(graph, emb, inner, outer_face, cache),
+                   _classified(graph, emb, outer, outer_face, cache))
+
+
+def _nested(ain: CycleAnalysis, aout: CycleAnalysis) -> bool:
+    """``is_nested`` on two classified cycles."""
     if not (ain.is_contractible and aout.is_contractible):
         return False
     return aout.int_vertices.issuperset(ain.cycle) and ain.edges <= aout.int_edges
@@ -258,29 +262,19 @@ def _classified(graph: Graph, emb: Embedding, cycle: Sequence[int],
     return res
 
 
-def _face_path(graph: Graph, face: FaceWalk, cyc: tuple[int, ...]):
-    """The intersection of a cycle with a face as a subgraph; returns the
-    (vertex set, edge set) components."""
-    fverts = face.vertex_set & set(cyc)
-    fedges = face.edge_set & set(_cycle_edges(cyc))
-    sub = Graph.build(fverts, fedges)
-    return [(comp, {e for e in fedges if e[0] in comp and e[1] in comp})
-            for comp in sub.components()]
-
-
 def _face_certifies(graph: Graph, emb: Embedding, face: FaceWalk,
                     c_outer: tuple[int, ...], c_inner: tuple[int, ...],
                     shared: tuple[frozenset[int], set[Edge]]) -> bool:
     """The face-pinch condition: the outer cycle meets the face in one
     path of at least three edges, and the inner cycle meets it in exactly
     the shared piece, strictly interior to that path."""
-    comps_outer = _face_path(graph, face, c_outer)
+    comps_outer = _intersection_components(c_outer, face.vertex_set, face.edge_set)
     if len(comps_outer) != 1:
         return False
     p = _as_path_sequence(*comps_outer[0])
     if p is None or len(p) < 4:  # at least 3 edges
         return False
-    comps_inner = _face_path(graph, face, c_inner)
+    comps_inner = _intersection_components(c_inner, face.vertex_set, face.edge_set)
     if len(comps_inner) != 1:
         return False
     q_verts, q_edges = comps_inner[0]
@@ -312,7 +306,7 @@ def classify_well_nested(graph: Graph, emb: Embedding,
 
 def _classify_pinches(graph: Graph, emb: Embedding, c_out: tuple[int, ...],
                       c_in: tuple[int, ...]) -> WellNestedKind | None:
-    comps = _intersection_components(c_out, c_in)
+    comps = _intersection_components(c_out, set(c_in), set(_cycle_edges(c_in)))
     if len(comps) == 0:
         return WellNestedKind.free()
     if len(comps) > 2:
@@ -384,18 +378,16 @@ def longest_well_nested_chain(graph: Graph, emb: Embedding,
     nested in the next, one uniform discipline).  Exact when the cycle
     enumeration stayed within budget."""
     cycles, exact = enumerate_cycles(graph, budget)
-    cache: dict = {}
-    contractible = [c for c in cycles
-                    if _classified(graph, emb, c, outer_face, cache).is_contractible]
+    analyses = [(c, a) for c in cycles
+                if (a := classify_cycle(graph, emb, c, outer_face=outer_face)).is_contractible]
+    contractible = [c for c, _ in analyses]
     n = len(contractible)
     nested_in: dict[tuple[int, int], WellNestedKind | None] = {}
-    order: list[tuple[int, int]] = []  # (inner index, outer index)
     for i, j in itertools.permutations(range(n), 2):
-        if is_nested(graph, emb, contractible[i], contractible[j], outer_face, cache):
+        if _nested(analyses[i][1], analyses[j][1]):
             kind = _classify_pinches(graph, emb, contractible[j], contractible[i])
             if kind is not None:
                 nested_in[(i, j)] = kind
-                order.append((i, j))
     # longest path in the nesting DAG per discipline signature
     best: tuple[list[int], list[WellNestedKind]] = ([], [])
     if n:

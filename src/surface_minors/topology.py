@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .graph import Edge, Graph, GraphError, bridges_on, edge_key
 from .embedding import (Dart, Embedding, EmbeddingError, FaceWalk, check_cycle, dart_ends,
@@ -486,7 +486,7 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
         raise TopologyError("are_homotopic: both cycles must be two-sided")
     if set(cyc1) == set(cyc2) and set(_cycle_edges(cyc1)) == set(_cycle_edges(cyc2)):
         raise TopologyError("are_homotopic: the cycles coincide")
-    shared = _intersection_components(cyc1, cyc2)
+    shared = _intersection_components(cyc1, set(cyc2), set(_cycle_edges(cyc2)))
     if len(shared) > 1:
         raise TopologyError(
             f"are_homotopic: cycles share {len(shared)} separate pieces "
@@ -515,12 +515,14 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
     return piece, pemb, {v: cut1.origin[cut2.origin[v]] for v in piece.vertices}
 
 
-def _intersection_components(c1: tuple[int, ...], c2: tuple[int, ...]
+def _intersection_components(cyc: tuple[int, ...], vertices: AbstractSet[int],
+                             edges: AbstractSet[Edge]
                              ) -> list[tuple[frozenset[int], set[Edge]]]:
-    """Components of the intersection of two cycles, each as (vertex set,
-    edge set)."""
-    shared_v = set(c1) & set(c2)
-    shared_e = set(_cycle_edges(c1)) & set(_cycle_edges(c2))
+    """Components of the intersection of a cycle with the subgraph
+    (vertices, edges), such as a second cycle or a face, each as
+    (vertex set, edge set)."""
+    shared_v = vertices & set(cyc)
+    shared_e = edges & set(_cycle_edges(cyc))
     sub = Graph.build(shared_v, shared_e)
     return [(comp, {e for e in shared_e if e[0] in comp and e[1] in comp})
             for comp in sub.components()]

@@ -215,10 +215,15 @@ def petersen() -> Graph:
                        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
-def _scratch_orbits(succ: dict[int, int]) -> tuple[int, int]:
-    """(closed orbits, states on them) of a partial successor map, by
-    walking from every state until it returns or leaves the map."""
-    orbits = used = 0
+def cube() -> Graph:
+    return Graph.build(range(8), [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
+
+
+def _scratch_orbits(succ: dict[int, int], nstates: int, min_face: int) -> tuple[int, int]:
+    """(closed orbits, sum over open walks of min(length, min_face)) of a
+    partial successor map on range(nstates), by walking from every state
+    until it returns or leaves the map."""
+    orbits = 0
     for s0 in succ:
         walk = [s0]
         s = succ[s0]
@@ -227,8 +232,13 @@ def _scratch_orbits(succ: dict[int, int]) -> tuple[int, int]:
             s = succ[s]
         if s == s0 and s0 == min(walk):
             orbits += 1
-            used += len(walk)
-    return orbits, used
+    walk_sum = 0
+    for s0 in set(range(nstates)) - set(succ.values()):  # the first states of open walks
+        length, s = 1, s0
+        while s in succ:
+            length, s = length + 1, succ[s]
+        walk_sum += min(length, min_face)
+    return orbits, walk_sum
 
 
 def test_face_tracker_matches_scratch_count():
@@ -237,6 +247,7 @@ def test_face_tracker_matches_scratch_count():
     graphs = rng.sample(graphs, 40) + [complete(5), complete_bipartite(3, 4), petersen()]
     for g in graphs:
         space = _SearchSpace(g)
+        nstates = 4 * g.m
         heads = {d: (v if d % 2 == 0 else u)
                  for i, (u, v) in enumerate(g.edges) for d in (2 * i, 2 * i + 1)}
         for _ in range(3):
@@ -244,7 +255,8 @@ def test_face_tracker_matches_scratch_count():
             neg = [signature[e] < 0 for e in g.edges]
             order = list(g.vertices)
             rng.shuffle(order)
-            tracker = _FaceTracker(4 * g.m)
+            min_face = rng.choice((space.min_face, 2, 5))
+            tracker = _FaceTracker(nstates, min_face)
             succ: dict[int, int] = {}
             placed = []
             for v in order:
@@ -252,17 +264,20 @@ def test_face_tracker_matches_scratch_count():
                 tracker.link(pairs)
                 succ.update(pairs)
                 placed.append((v, rot, pairs))
-                assert (tracker.orbits, tracker.used) == _scratch_orbits(succ)
-            assert tracker.used == 4 * g.m
+                assert (tracker.orbits, tracker.walk_sum) == \
+                    _scratch_orbits(succ, nstates, min_face)
+            assert tracker.walk_sum == 0
             rotation = {v: tuple(heads[d] for d in rot) for v, rot, _ in placed}
             assert tracker.orbits // 2 == naive_face_count(g, rotation, signature)
             for v, _, pairs in reversed(placed):
                 tracker.unlink(pairs)
                 for s, _ in pairs:
                     del succ[s]
-                assert (tracker.orbits, tracker.used) == _scratch_orbits(succ)
-            assert tracker.start_of == tracker.end_of == list(range(4 * g.m))
-            assert tracker.length == [1] * (4 * g.m)
+                assert (tracker.orbits, tracker.walk_sum) == \
+                    _scratch_orbits(succ, nstates, min_face)
+            assert tracker.walk_sum == nstates
+            assert tracker.start_of == tracker.end_of == list(range(nstates))
+            assert tracker.length == [1] * nstates
 
 
 def test_min_face_bounds_every_facial_walk():
@@ -280,8 +295,7 @@ def test_min_face_bounds_every_facial_walk():
 
 
 def test_girth_bound_prunes_more_with_same_answers(monkeypatch):
-    cube = Graph.build(range(8), [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
-    graphs = [complete_bipartite(3, 4), petersen(), cube]
+    graphs = [complete_bipartite(3, 4), petersen(), cube()]
     with_girth = [min_euler_genus(g) for g in graphs]
     assert [(p.orientable_min, p.nonorientable_min) for p in with_girth] == [(2, 1), (2, 1), (0, 1)]
     monkeypatch.setattr(Graph, "girth", lambda self: 3)
@@ -290,6 +304,37 @@ def test_girth_bound_prunes_more_with_same_answers(monkeypatch):
         assert (plain.orientable_min, plain.nonorientable_min) == \
             (prof.orientable_min, prof.nonorientable_min)
         assert prof.explored < plain.explored
+
+
+def test_sweep_stops_at_the_nonorientable_floor(monkeypatch):
+    calls = []
+    real = genus_search._search_pattern
+
+    def recording(space, signature, best_start, floor, counter, budget):
+        found, rot = real(space, signature, best_start, floor, counter, budget)
+        calls.append((all(s > 0 for s in signature.values()), floor, found, rot is not None))
+        return found, rot
+
+    monkeypatch.setattr(genus_search, "_search_pattern", recording)
+    planar = [wheel(5), cube(), complete(4), cycle_graph(6)]
+    # two K3,3 at a cutvertex: nonorientable minimum 2, above the floor 1
+    above_floor = join(PARTS["K3,3"], PARTS["K3,3"], "cutvertex")
+    for g in planar + [complete(5), complete_bipartite(3, 4), petersen(), above_floor]:
+        calls.clear()
+        prof = min_euler_genus(g)
+        assert prof.exact
+        assert calls[0][0] and not any(orientable for orientable, *_ in calls[1:])
+        nonor = [(floor, found, improved) for _, floor, found, improved in calls[1:]]
+        # the floor is a lower bound, and the sweep ends at the first
+        # pattern that meets it, or else searches every pattern
+        assert all(floor <= prof.nonorientable_min for floor, _, _ in nonor)
+        hits = [i for i, (floor, found, improved) in enumerate(nonor)
+                if improved and found == floor]
+        cotree_rank = g.m - g.n + 1
+        assert hits == [len(nonor) - 1] or (not hits and len(nonor) == 2 ** cotree_rank - 1)
+        if g in planar:
+            assert prof.nonorientable_min == 1 and len(nonor) == 1
+    assert prof.nonorientable_min == 2 and not hits
 
 
 def test_witness_check_survives_optimize():

@@ -1,8 +1,9 @@
 import pytest
 
+from surface_minors import structure
 from surface_minors.embedding import EmbeddingError
-from surface_minors.structure import is_nested
-from conftest import planar_embedding, wheel
+from surface_minors.structure import enumerate_cycles, is_nested, longest_well_nested_chain
+from conftest import grid, planar_embedding, wheel
 
 
 def test_is_nested_validates_with_and_without_cache():
@@ -24,3 +25,28 @@ def test_is_nested_validates_with_and_without_cache():
                 is_nested(w5, emb, bad, rim, rim_face, cache)
             with pytest.raises(EmbeddingError):
                 is_nested(w5, emb, spoke_triangle, bad, rim_face, cache)
+
+
+def test_chain_classifies_each_cycle_once(monkeypatch):
+    g = grid(3, 3)
+    emb = planar_embedding(g)
+    calls, canonical = [], []
+    classify, canonicalize = structure.classify_cycle, structure._canonical_cycle
+
+    def counting(graph, emb, cycle, **kwargs):
+        calls.append(tuple(cycle))
+        return classify(graph, emb, cycle, **kwargs)
+
+    monkeypatch.setattr(structure, "classify_cycle", counting)
+    monkeypatch.setattr(structure, "_canonical_cycle",
+                        lambda cyc: canonical.append(cyc) or canonicalize(cyc))
+    res = longest_well_nested_chain(g, emb)
+    monkeypatch.undo()
+    cycles, exact = enumerate_cycles(g)
+    # one classification per cycle, and no canonical forms past the
+    # enumeration's own
+    assert exact and sorted(calls) == sorted(cycles)
+    assert len(canonical) == len(cycles)
+    assert res.exact and len(res.cycles) == 2
+    for inner, outer in zip(res.cycles, res.cycles[1:]):
+        assert is_nested(g, emb, inner, outer)
