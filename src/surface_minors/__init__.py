@@ -1,7 +1,8 @@
 """Surface embeddings of graphs: rotation systems with signatures, exact
-minimum Euler genus, cycle surgery, excluded-minor certification,
-forbidden-structure detectors, balanced tree-decomposition separators,
-and the bound-function tower."""
+minimum Euler genus, cycle surgery, excluded-minor certification, nested
+contractible cycles (the longest well-nested chain and the face-layer
+radius), balanced tree-decomposition separators, and the bound-function
+tower."""
 
 from .graph import (Bridge, Graph, GraphError, Separation, apply_minor_op,
                     blocks, bridges_on, contract_edge, delete_edge,
@@ -25,24 +26,15 @@ from .certify import (CertificationOutcome, ExclusionCertificate, MinorWitness,
                       certificate_to_json, certify_excluded_minor,
                       check_genus_range, check_superadditive_bound_transfer,
                       check_two_separation_property, verify_certificate)
-from .structure import (ChainResult, ClosestCycle, PathFamily, RadiusMap,
-                        SquareContext, StructureError, WellNestedKind,
-                        boundary_faces, classify_well_homotopic,
-                        classify_well_nested, closest_enclosing_cycle,
-                        cycles_in_this_order, enumerate_cycles,
-                        is_almost_disjoint, is_cycles_on_spanning_tree,
-                        is_contractible_square, longest_well_nested_chain,
-                        max_nonhomotopic_internally_disjoint,
-                        nonhomotopic_bound, radius, square_verdict,
-                        touching_faces, well_homotopic_in_order)
+from .structure import (ChainResult, RadiusMap, StructureError, WellNestedKind,
+                        enumerate_cycles, longest_well_nested_chain, radius)
 from .treedecomp import (SeparationSequence, TreeDecomposition,
                          TreeDecompositionError, balanced_1_separation,
                          balanced_separation_sequence,
                          compute_tree_decomposition, validate)
 from .bounds import (BoundTower, BoundValue, BoundsError, Log2Interval,
                      bounds_table, certified_floor_log, check_superadditive,
-                     constants, f_of, floor_log_43,
-                     floor_log_q)
+                     constants, floor_log_43, floor_log_q)
 from .corpus import CorpusEntry, build_corpus
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""The bound-function tower and the identities tying it together.
+"""The bound-function tower, with certified floors and log2 enclosures.
 
 Every floor of a logarithm is certified by interval arithmetic: the
 value is computed as an interval at increasing precision until both ends
@@ -90,13 +90,6 @@ class Log2Interval:
         if c < 0:
             raise BoundsError(f"Log2Interval.scale: negative factor {c}")
         return Log2Interval(self.lo * c, self.hi * c)
-
-    def overlaps_within(self, other: "Log2Interval", tol: Fraction) -> bool:
-        return abs(self.midpoint_fraction() - other.midpoint_fraction()) \
-            <= tol + self.width + other.width
-
-    def midpoint_fraction(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 @contextmanager
@@ -229,10 +222,10 @@ class BoundTower:
         ]
 
 
-def _delta_log2(A: int, mt: int, prec: int) -> Log2Interval:
+def _delta_log2(A: int, mt: int) -> Log2Interval:
     # log2 Delta = mt^2 (2 + (1/2) log2(2 A (2mt+1)^4 mt^3))
     inner = 2 * A * (2 * mt + 1) ** 4 * mt ** 3
-    base = log2_of_int(inner, prec)
+    base = log2_of_int(inner, 256)
     half = Log2Interval(base.lo / 2 + 2, base.hi / 2 + 2)
     return half.scale(mt * mt)
 
@@ -263,7 +256,7 @@ def constants(g: int) -> BoundTower:
     Qv = (3 * (4 * m * m * (3 * g + 3) + 1)
           * 3 * ((T + 1) * m_prime + g)
           * 2 * m * (3 * g + 3))
-    delta = _delta_log2(A, m_tilde, 256)
+    delta = _delta_log2(A, m_tilde)
     p = _p_log2(delta, A, m_tilde)
     n_binom = (T + 1) * m_prime
     binom_sum = sum(math.comb(n_binom, a) for a in range(4))
@@ -273,38 +266,6 @@ def constants(g: int) -> BoundTower:
     r = log2_of_int(r_exact_factor) + p
     u = log2_of_int(Qv) + r
     return BoundTower(g, Q, m, T, m_prime, A, m_tilde, Qv, delta, p, r, u)
-
-
-def f_of(g: int, i: int) -> BoundValue:
-    """The fan growth function: (4 sqrt(2A(2mt+1)^4 mt^3))^(i^2), in log2
-    form; exponent 0 gives exactly 1."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    tower = constants(g)
-    inner = 2 * tower.A * (2 * tower.m_tilde + 1) ** 4 * tower.m_tilde ** 3
-    base = log2_of_int(inner)
-    one = Log2Interval(base.lo / 2 + 2, base.hi / 2 + 2)
-    val = one.scale(i * i)
-    exact = 1 if i == 0 else None
-    return BoundValue(f"f({g},{i})", "arch-count growth: (4 sqrt(2A(2mt+1)^4 mt^3))^(i^2)",
-                      exact, val)
-
-
-def recompute_identities(g: int, tol_log2: Fraction = Fraction(1, 2 ** 64)) -> dict[str, bool]:
-    """Re-derive the closure identities of the tower at higher precision
-    and compare within ``tol_log2`` (plus interval widths) in log2 space."""
-    t = constants(g)
-    out = {}
-    out["T+1 == 264(g+2)(m+1)"] = (t.T + 1) == 264 * (g + 2) * (t.m + 1)
-    # U = Q * R
-    lhs = t.u_log2
-    rhs = log2_of_int(t.Q, 320) + t.r_log2
-    out["U == Q*R"] = lhs.overlaps_within(rhs, tol_log2)
-    # P formula re-evaluated at doubled precision
-    delta2 = _delta_log2(t.A, t.m_tilde, 512)
-    p2 = _p_log2(delta2, t.A, t.m_tilde)
-    out["P == Delta(Delta^2mt - 1)/(Delta-1) A"] = t.p_log2.overlaps_within(p2, tol_log2)
-    return out
 
 
 def log2_of_sum(a: Log2Interval, b: Log2Interval) -> Log2Interval:

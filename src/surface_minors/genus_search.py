@@ -350,6 +350,19 @@ def _rotation_dict(graph: Graph, rot: dict[int, tuple[int, ...]]) -> dict[int, l
     return {v: [w for _, w in dart_ends(graph, ds)] for v, ds in rot.items()}
 
 
+def _sign_patterns(beta: int):
+    """Every cotree sign pattern of length ``beta``, lazily, by number of
+    negative signs and then in ``itertools.product((1, -1))`` order: the
+    positive positions run through ``combinations`` in lexicographic
+    order."""
+    for k in range(beta + 1):
+        for positive in itertools.combinations(range(beta), beta - k):
+            pattern = [-1] * beta
+            for i in positive:
+                pattern[i] = 1
+            yield tuple(pattern)
+
+
 def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     """Exact minimum Euler genus over orientable and over nonorientable
     embeddings of a connected graph, with witnesses.
@@ -382,10 +395,8 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     low = 2 - graph.n + graph.m - 2 * graph.m // space.min_face
     orient_floor = max(0, low + low % 2)
     nonor_floor = max(1, low)
-    patterns = sorted(itertools.product((1, -1), repeat=len(cotree)),
-                      key=lambda p: sum(1 for s in p if s < 0))
     try:
-        for pattern in patterns:
+        for pattern in _sign_patterns(len(cotree)):
             orientable = all(s > 0 for s in pattern)
             if not orientable and nonor_best == nonor_floor:
                 break

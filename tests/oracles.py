@@ -11,6 +11,7 @@ separators come from exhaustive subset checks.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import networkx as nx
@@ -301,3 +302,10 @@ def torus_winding(cycle, rows: int, cols: int) -> tuple[int, int]:
         di += (ib - ia + 1) % rows - 1
         dj += (jb - ja + 1) % cols - 1
     return di // rows, dj // cols
+
+
+def rectangle_radius(h: int, w: int) -> int:
+    """Face layers inside the boundary of an h x w block of unit squares
+    of a planar grid: each layer peels one ring of squares.  A cycle
+    bounding a single face has no faces strictly inside it, so radius 0."""
+    return 0 if h == w == 1 else math.ceil(min(h, w) / 2)

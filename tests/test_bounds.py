@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from surface_minors.bounds import (FloorUncertain, Log2Interval, certified_floor_log,
-                                   log2_of_int, log2_of_sum)
+                                   check_superadditive, constants, log2_of_int, log2_of_sum)
 
 
 def exact_floor_log(value: int, num: int, den: int = 1) -> int:
@@ -83,3 +83,31 @@ def test_log2_of_sum_takes_the_larger_upper_end():
     tiny = Fraction(1) + Fraction(1, 2 ** 60)
     assert_encloses_sums(Log2Interval(Fraction(0), Fraction(0)),
                          Log2Interval(Fraction(-60), Fraction(-60)), tiny, tiny)
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_tower_identities(g):
+    t = constants(g)
+    assert t.T + 1 == 264 * (g + 2) * (t.m + 1)
+    product = log2_of_int(t.Q) + t.r_log2
+    assert product.lo <= t.u_log2.lo and t.u_log2.hi <= product.hi
+    # a sharper log2 Q still meets the enclosure of U
+    sharp = log2_of_int(t.Q, 320) + t.r_log2
+    assert max(sharp.lo, t.u_log2.lo) <= min(sharp.hi, t.u_log2.hi)
+
+
+def test_tower_grows_with_the_genus():
+    towers = [constants(g) for g in range(7)]
+    for a, b in zip(towers, towers[1:]):
+        assert a.m <= b.m and a.T < b.T and a.A <= b.A and a.Q < b.Q
+        assert a.u_log2.hi < b.u_log2.lo
+
+
+def test_final_bound_is_superadditive():
+    def final(g):
+        return constants(g).u_log2
+    # test_certify covers (1, 1) and (1, 2)
+    for g1, g2 in [(1, 4), (2, 2), (2, 3), (3, 3)]:
+        assert check_superadditive(final, g1, g2), (g1, g2)
+    # N(0 + 1) >= N(0) + N(1) fails for any positive N
+    assert not check_superadditive(final, 0, 1)

@@ -6,8 +6,10 @@ import pytest
 from surface_minors import corpus, genus_search
 from surface_minors.cli import main
 from surface_minors.graph import Graph, graph6_encode
+from surface_minors.structure import is_nested
 from surface_minors.treedecomp import TreeDecomposition, validate
-from conftest import complete, complete_bipartite, grid
+from conftest import complete, complete_bipartite, grid, planar_embedding
+from oracles import rectangle_radius
 
 
 def test_genus_json_on_k5(capsys):
@@ -80,3 +82,32 @@ def test_failed_corpus_verify_exits_2(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["ok"] is False
     assert len(out["failed"]) == 1 and out["failed"][0].startswith("K4: genus_profile = (1, 1)")
+
+
+def planar_grid_args(tmp_path, rows: int, cols: int) -> tuple[Graph, list[str]]:
+    g = grid(rows, cols)
+    path = tmp_path / "grid.json"
+    path.write_text(planar_embedding(g).to_json())
+    return g, ["--graph6", graph6_encode(g), "--embedding", str(path), "--json"]
+
+
+def test_chain_json_on_the_3x3_grid(tmp_path, capsys):
+    g, args = planar_grid_args(tmp_path, 3, 3)
+    code = main(["chain"] + args)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["exact"] is True
+    assert out["length"] == len(out["cycles"]) == 2
+    emb = planar_embedding(g)
+    for inner, outer in zip(out["cycles"], out["cycles"][1:]):
+        assert is_nested(g, emb, inner, outer)
+
+
+def test_radius_json_on_the_4x5_grid(tmp_path, capsys):
+    # the boundary of the whole grid encloses 3 x 4 unit squares
+    g, args = planar_grid_args(tmp_path, 4, 5)
+    boundary = [0, 1, 2, 3, 4, 9, 14, 19, 18, 17, 16, 15, 10, 5]
+    code = main(["radius", "--cycle", ",".join(map(str, boundary))] + args)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["radius"] == len(out["layers"]) == rectangle_radius(3, 4)
+    assert sum(len(layer) for layer in out["layers"]) == 12

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -12,8 +13,8 @@ from surface_minors import genus_search
 from surface_minors.graph import Graph, GraphError, one_step_minors
 from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, BudgetExceeded,
                                          GenusProfile, Surface, _FaceTracker,
-                                         _SearchSpace, cached_profile, combined_minima,
-                                         default_budget, embeddable_in,
+                                         _SearchSpace, _sign_patterns, cached_profile,
+                                         combined_minima, default_budget, embeddable_in,
                                          genus_via_blocks, min_euler_genus)
 from conftest import complete, complete_bipartite, cycle_graph, path_graph, wheel
 from oracles import (all_rotation_signatures, connected_graphs_up_to,
@@ -335,6 +336,15 @@ def test_sweep_stops_at_the_nonorientable_floor(monkeypatch):
         if g in planar:
             assert prof.nonorientable_min == 1 and len(nonor) == 1
     assert prof.nonorientable_min == 2 and not hits
+
+
+
+def test_sign_patterns_follow_the_sorted_product():
+    # the sweep's lazy order is the product sorted by count of negatives
+    for beta in range(13):
+        expected = sorted(itertools.product((1, -1), repeat=beta),
+                          key=lambda p: sum(1 for s in p if s < 0))
+        assert list(_sign_patterns(beta)) == expected
 
 
 def test_witness_check_survives_optimize():

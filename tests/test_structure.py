@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from surface_minors import structure
 from surface_minors.embedding import EmbeddingError
-from surface_minors.structure import enumerate_cycles, is_nested, longest_well_nested_chain
-from conftest import grid, planar_embedding, wheel
+from surface_minors.structure import (StructureError, enumerate_cycles, is_nested,
+                                      longest_well_nested_chain, radius)
+from conftest import grid, planar_embedding, torus_grid, wheel
+from oracles import rectangle_radius
 
 
 def test_is_nested_validates_with_and_without_cache():
@@ -50,3 +54,35 @@ def test_chain_classifies_each_cycle_once(monkeypatch):
     assert res.exact and len(res.cycles) == 2
     for inner, outer in zip(res.cycles, res.cycles[1:]):
         assert is_nested(g, emb, inner, outer)
+
+
+
+def rectangle(r0: int, c0: int, r1: int, c1: int, cols: int) -> list[int]:
+    """Boundary cycle of the block of grid squares with corners (r0, c0)
+    and (r1, c1), for ``conftest.grid`` numbering."""
+    top = [r0 * cols + c for c in range(c0, c1 + 1)]
+    right = [r * cols + c1 for r in range(r0 + 1, r1 + 1)]
+    bottom = [r1 * cols + c for c in range(c1 - 1, c0 - 1, -1)]
+    left = [r * cols + c0 for r in range(r1 - 1, r0, -1)]
+    return top + right + bottom + left
+
+
+def test_radius_of_grid_rectangles():
+    rows, cols = 5, 6
+    g = grid(rows, cols)
+    emb = planar_embedding(g)
+    outer = max(emb.faces(), key=lambda f: f.size)
+    sizes = set()
+    for r0, r1 in itertools.combinations(range(rows), 2):
+        for c0, c1 in itertools.combinations(range(cols), 2):
+            h, w = r1 - r0, c1 - c0
+            res = radius(g, emb, rectangle(r0, c0, r1, c1, cols), outer_face=outer)
+            assert res.radius == len(res.layers) == rectangle_radius(h, w), (r0, c0, r1, c1)
+            sizes.add((h, w))
+    assert len(sizes) == 20
+
+
+def test_radius_rejects_a_noncontractible_cycle():
+    g, emb = torus_grid(3, 3)
+    with pytest.raises(StructureError):
+        radius(g, emb, [0, 1, 2])

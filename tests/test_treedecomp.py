@@ -1,8 +1,13 @@
+import itertools
 import random
 
+import pytest
+
+from surface_minors.bounds import floor_log_43
 from surface_minors.graph import Graph
-from surface_minors.treedecomp import (_decomposition_from_order, compute_tree_decomposition,
-                                       min_fill_order, validate)
+from surface_minors.treedecomp import (TreeDecompositionError, _decomposition_from_order,
+                                       balanced_separation_sequence,
+                                       compute_tree_decomposition, min_fill_order, validate)
 from conftest import grid
 from oracles import brute_force_treewidth, connected_graphs_up_to, subset_dp_treewidth
 
@@ -46,3 +51,24 @@ def test_exact_width_of_the_4x5_grid():
     td, exact = compute_tree_decomposition(g, mode="exact")
     assert exact and td.width == 4
     assert validate(g, td) == (True, None)
+
+
+def test_balanced_separation_sequence_on_a_grid():
+    # the 3 x 32 grid has min-fill bags of at most 4 vertices, so every
+    # k with 4 * 4k <= 96 meets the hypothesis
+    g = grid(3, 32)
+    td = _decomposition_from_order(g, min_fill_order(g))
+    assert td.width == 3
+    for k in range(1, 7):
+        parts = balanced_separation_sequence(g, td, k).parts
+        assert len(parts) == k
+        assert set().union(*parts) == set(td.tree.vertices)
+        weights = [len(set().union(*(td.bag[t] for t in p))) for p in parts]
+        assert max(weights) <= 3 * min(weights), (k, weights)
+        for i, p in enumerate(parts):
+            others = set().union(*(q for j, q in enumerate(parts) if j != i))
+            assert len(set(p) & others) <= floor_log_43(3 * k), (k, i)
+        assert all(len(set(a) & set(b)) <= 1 for a, b in itertools.combinations(parts, 2))
+    # at k = 7 a bag of 4 vertices exceeds |V|/(4k) = 96/28
+    with pytest.raises(TreeDecompositionError):
+        balanced_separation_sequence(g, td, 7)
