@@ -4,28 +4,24 @@ contractible cycles (the longest well-nested chain and the face-layer
 radius), balanced tree-decomposition separators, and the bound-function
 tower."""
 
-from .graph import (Bridge, Graph, GraphError, Separation, apply_minor_op,
-                    blocks, bridges_on, contract_edge, delete_edge,
-                    delete_vertex, dedupe_isomorphic, find_separator,
+from .graph import (Graph, GraphError, apply_minor_op, blocks, contract_edge,
+                    delete_edge, delete_vertex, dedupe_isomorphic,
                     graph6_decode, graph6_encode, graph_from_json,
                     graph_to_json, group_isomorphic, is_isomorphic,
-                    one_step_minors, parse_graph, separations_of_order)
+                    one_step_minors, parse_graph)
 from .embedding import (Embedding, EmbeddingError, FaceWalk, default_embedding,
-                        enumerate_embeddings, euler_genus, face_traversal,
-                        random_embedding)
+                        euler_genus, face_traversal, random_embedding)
 from .topology import (CutResult, CycleAnalysis, CycleClassification,
-                       TopologyError, are_homotopic, build_Ce, classify_cycle,
-                       cut_along, flip, induced_embedding, induced_genus,
-                       same_relative_orientation, total_genus)
+                       TopologyError, are_homotopic, classify_cycle,
+                       cut_along, induced_embedding, total_genus)
 from .genus_search import (BudgetError, BudgetExceeded, EmbedDecision,
                            GenusProfile, SearchCheckError, Surface,
                            cached_profile, combined_minima, embeddable_in,
                            genus_via_blocks, min_euler_genus)
 from .certify import (CertificationOutcome, ExclusionCertificate, MinorWitness,
-                      blocks_are_excluded_minors, certificate_from_json,
-                      certificate_to_json, certify_excluded_minor,
-                      check_genus_range, check_superadditive_bound_transfer,
-                      check_two_separation_property, verify_certificate)
+                      certificate_from_json, certificate_to_json,
+                      certify_excluded_minor, check_genus_range,
+                      verify_certificate)
 from .structure import (ChainResult, RadiusMap, StructureError, WellNestedKind,
                         enumerate_cycles, longest_well_nested_chain, radius)
 from .treedecomp import (SeparationSequence, TreeDecomposition,

@@ -13,12 +13,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .graph import (Graph, MinorOp, blocks, graph_to_json, graph_from_json,
-                    group_isomorphic, one_step_minors, separations_of_order)
+from .graph import (Graph, MinorOp, graph_to_json, graph_from_json, group_isomorphic,
+                    one_step_minors)
 from .embedding import Embedding
 from .genus_search import Surface, combined_minima, default_budget, embeddable_in
-from .topology import classify_cycle
-from .structure import enumerate_cycles
 
 
 PRUNING_VERSION = "walk-face-bound-floor-parity-v3"
@@ -143,95 +141,6 @@ def verify_certificate(cert: ExclusionCertificate,
     if not check_genus_range(cert):
         return False, "genus of the graph is outside {g+1, g+2}"
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Structural consequences on certified instances
-# ---------------------------------------------------------------------------
-
-
-def blocks_are_excluded_minors(cert: ExclusionCertificate,
-                               budget: int | None = None,
-                               max_genus: int = 4) -> list[tuple[Graph, Surface | None]]:
-    """For each block of a certified graph, the smallest surface for
-    which the block itself certifies (orientable first at equal genus)."""
-    blks, _ = blocks(cert.graph)
-    out = []
-    for b in blks:
-        found = None
-        for s in _surfaces_up_to(max_genus):
-            try:
-                outcome = certify_excluded_minor(b, s, budget)
-            except CertificationError:
-                continue
-            if outcome.certified:
-                found = s
-                break
-        out.append((b, found))
-    return out
-
-
-def _surfaces_up_to(max_genus: int):
-    for g in range(max_genus + 1):
-        if g % 2 == 0:
-            yield Surface(g, True)
-        if g >= 1:
-            yield Surface(g, False)
-
-
-def check_two_separation_property(cert: ExclusionCertificate,
-                                  emb: Embedding,
-                                  cycle_budget: int = 20_000) -> tuple[bool, dict | None]:
-    """Every 2-separation (A, B) of a certified graph has B either a
-    single edge or not contained in a disk of the minimum embedding
-    (no contractible cycle holds all of B inside).
-
-    Vacuous for 3-connected graphs.  Returns (holds, violating
-    separation or None)."""
-    graph = cert.graph
-    if emb.graph != graph:
-        raise CertificationError("embedding is for a different graph")
-    cycles, _ = enumerate_cycles(graph, cycle_budget)
-    analyses = []
-    for c in cycles:
-        ana = classify_cycle(graph, emb, c)
-        if ana.is_contractible:
-            analyses.append(ana)
-    for sep in separations_of_order(graph, 2):
-        for side, other in ((sep.side_a, sep.side_b), (sep.side_b, sep.side_a)):
-            if other.m == 0:
-                continue  # degenerate padding side
-            if _is_single_edge(side, sep.separator):
-                continue
-            if side.m == 0:
-                continue
-            if _contained_in_disk(side, analyses):
-                return False, {"separator": sorted(sep.separator),
-                               "side": sorted(side.vertices)}
-    return True, None
-
-
-def _is_single_edge(side: Graph, separator: frozenset[int]) -> bool:
-    return side.m == 1 and set(side.vertices) == set(separator)
-
-
-def _contained_in_disk(side: Graph, analyses) -> bool:
-    sv = set(side.vertices)
-    se = set(side.edges)
-    for ana in analyses:
-        inside_v = ana.side_vertices(ana.int_side())
-        inside_e = ana.side_edges(ana.int_side()) | set(
-            (min(a, b), max(a, b)) for a, b in zip(ana.cycle, ana.cycle[1:] + ana.cycle[:1]))
-        if sv <= inside_v and se <= inside_e:
-            return True
-    return False
-
-
-def check_superadditive_bound_transfer(bound_fn, g1: int, g2: int) -> bool:
-    """The block-reduction hypotheses for a bound function: increasing on
-    [0, g1+g2] and superadditive at (g1, g2)."""
-    from .bounds import check_superadditive
-    return check_superadditive(bound_fn, g1, g2)
 
 
 # ---------------------------------------------------------------------------

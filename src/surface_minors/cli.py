@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .graph import Graph, GraphError, graph6_decode, graph_from_json, graph_to_json, parse_graph
+from .graph import Graph, GraphError, graph6_decode, graph_to_json, parse_graph
 from .embedding import Embedding, EmbeddingError, default_embedding
 from .genus_search import Surface, default_budget, embeddable_in, min_euler_genus
 from . import bounds as bounds_mod
@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         # the parser reads SURFACE_MINORS_BUDGET for its help text
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (GraphError, EmbeddingError, ValueError) as exc:
+    except (GraphError, EmbeddingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

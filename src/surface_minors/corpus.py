@@ -8,13 +8,11 @@ the entry and property named.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .graph import Graph, blocks, graph6_encode
-from .embedding import Embedding, default_embedding, random_embedding
+from .graph import Graph, blocks
+from .embedding import Embedding, random_embedding
 from .genus_search import (Surface, cached_profile, combined_minima, genus_via_blocks,
                            min_euler_genus)
 from .treedecomp import compute_tree_decomposition, validate

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Edge, Graph, GraphError, edge_key, parse_graph, graph_to_json
+from .graph import Edge, Graph, edge_key, parse_graph, graph_to_json
 
 
 class EmbeddingError(ValueError):
@@ -490,7 +490,7 @@ def euler_genus(graph: Graph, emb: Embedding) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and sampling
+# Default and random embeddings
 # ---------------------------------------------------------------------------
 
 
@@ -508,25 +508,3 @@ def random_embedding(graph: Graph, rng: random.Random) -> Embedding:
     signature = {e: rng.choice((-1, 1)) for e in graph.edges}
     return Embedding.build(graph, rotation, signature)
 
-
-def all_rotations_at(graph: Graph, v: int) -> list[tuple[int, ...]]:
-    """All distinct cyclic orders of the neighbours of v."""
-    return rotations(graph.neighbors(v))
-
-
-def enumerate_embeddings(graph: Graph, up_to_equivalence: bool = True):
-    """Yield embeddings covering every equivalence class: the full product
-    of rotations with signatures normalized to +1 on a spanning tree (all
-    cotree patterns).  With ``up_to_equivalence=False``, all 2^E signature
-    patterns are produced instead."""
-    tree = set(graph.spanning_tree())
-    cotree = [e for e in graph.edges if e not in tree] if up_to_equivalence \
-        else list(graph.edges)
-    per_vertex = [all_rotations_at(graph, v) for v in graph.vertices]
-    for rots in itertools.product(*per_vertex):
-        rotation = dict(zip(graph.vertices, rots))
-        for pattern in itertools.product((1, -1), repeat=len(cotree)):
-            signature = {e: 1 for e in graph.edges}
-            for e, s in zip(cotree, pattern):
-                signature[e] = s
-            yield Embedding.build(graph, rotation, signature)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Edge, Graph, GraphError, blocks
 from .embedding import Embedding, dart, dart_ends, rotations, successor_pairs

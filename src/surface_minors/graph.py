@@ -1,7 +1,7 @@
 """Simple undirected graphs with stable vertex ids.
 
-Substrate for everything else: minor operations, blocks, bridges,
-separators, and graph6 / JSON interchange.  Graphs are immutable values;
+Substrate for everything else: minor operations, isomorphism grouping,
+blocks, and graph6 / JSON interchange.  Graphs are immutable values;
 every operation returns a fresh graph, so results can be shared freely
 between workers.
 """
@@ -462,7 +462,7 @@ def dedupe_isomorphic(graphs: Iterable[Graph]) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Blocks and bridges
+# Blocks and cutvertices
 # ---------------------------------------------------------------------------
 
 
@@ -533,116 +533,3 @@ def blocks(graph: Graph) -> tuple[list[Graph], frozenset[int]]:
     blks.sort(key=lambda b: (b.vertices, b.edges))
     return blks, frozenset(cut)
 
-
-@dataclass(frozen=True)
-class Bridge:
-    """A bridge of H on a subgraph H0: either a chord edge or an attached
-    component together with its connecting edges.  Attach vertices lie on
-    H0 and are not part of the body's interior."""
-
-    kind: str  # "chord-edge" | "attached-component"
-    body: Graph
-    attaches: frozenset[int]
-
-
-def bridges_on(host: Graph, h0: Graph) -> list[Bridge]:
-    """Bridges of ``host`` on the subgraph ``h0``.
-
-    Their edge sets partition E(host) - E(h0).
-    """
-    if not h0.is_subgraph_of(host):
-        raise GraphError("bridges_on: H0 is not a subgraph of H")
-    h0v = set(h0.vertices)
-    out: list[Bridge] = []
-    for u, v in host.edges:
-        if (u, v) in h0.edge_set:
-            continue
-        if u in h0v and v in h0v:
-            body = host.edge_subgraph([(u, v)])
-            out.append(Bridge("chord-edge", body, frozenset((u, v))))
-    rest = host.subgraph([v for v in host.vertices if v not in h0v])
-    for comp in rest.components():
-        edges = [e for e in host.edges
-                 if (e[0] in comp or e[1] in comp)]
-        attaches = frozenset(x for e in edges for x in e if x in h0v)
-        body = host.edge_subgraph(edges, extra_vertices=comp)
-        out.append(Bridge("attached-component", body, attaches))
-    out.sort(key=lambda b: (b.body.vertices, b.body.edges))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Separations and separators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Separation:
-    """A separation (A, B): A ∪ B = G and A ∩ B has no edge."""
-
-    side_a: Graph
-    side_b: Graph
-
-    @property
-    def order(self) -> int:
-        return len(set(self.side_a.vertices) & set(self.side_b.vertices))
-
-    @property
-    def separator(self) -> frozenset[int]:
-        return frozenset(set(self.side_a.vertices) & set(self.side_b.vertices))
-
-
-def separations_of_order(graph: Graph, k: int) -> list[Separation]:
-    """All proper separations (A, B) of order exactly k, up to swapping
-    sides.  Each side gets the components it induces plus the separator;
-    a separator edge (both ends in the separator) goes to side A."""
-    out = []
-    for cut in itertools.combinations(graph.vertices, k):
-        cutset = set(cut)
-        rest = graph.subgraph([v for v in graph.vertices if v not in cutset])
-        comps = rest.components()
-        if len(comps) < 2:
-            continue
-        # one side = a nonempty proper subset of components; avoid mirror dups
-        for r in range(1, len(comps)):
-            for group in itertools.combinations(range(len(comps)), r):
-                if 0 not in group:
-                    continue  # fix component 0 on side A to kill mirrors
-                av = set(cutset)
-                for gi in group:
-                    av |= comps[gi]
-                bv = set(cutset) | {v for i, c in enumerate(comps)
-                                    if i not in group for v in c}
-                a_edges = [e for e in graph.edges if e[0] in av and e[1] in av]
-                b_edges = [e for e in graph.edges
-                           if e[0] in bv and e[1] in bv
-                           and not (e[0] in cutset and e[1] in cutset)]
-                out.append(Separation(graph.edge_subgraph(a_edges, av),
-                                      graph.edge_subgraph(b_edges, bv)))
-    return out
-
-
-def find_separator(graph: Graph, k: int) -> frozenset[int] | None:
-    """A vertex set of size <= k whose removal disconnects the graph, or
-    None when the graph is (k+1)-connected.  Exact (max-flow based)."""
-    if graph.n == 0:
-        return None
-    if not graph.is_connected():
-        return frozenset()
-    if graph.n <= k + 1:
-        return None  # nothing of size <= k can disconnect so few vertices
-    g = graph.to_nx()
-    nonadjacent = [(u, v) for u, v in itertools.combinations(graph.vertices, 2)
-                   if not graph.has_edge(u, v)]
-    if not nonadjacent:
-        return None  # complete graph
-    best: set[int] | None = None
-    for u, v in nonadjacent:
-        cut = nx.minimum_node_cut(g, u, v)
-        if best is None or len(cut) < len(best):
-            best = set(cut)
-            if len(best) == 0:
-                break
-    if best is not None and len(best) <= k:
-        return frozenset(best)
-    return None

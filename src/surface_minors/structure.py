@@ -235,7 +235,6 @@ def longest_well_nested_chain(graph: Graph, emb: Embedding,
     best: tuple[list[int], list[WellNestedKind]] = ([], [])
     if n:
         best = ([0], [])
-    memo: dict = {}
 
     def extend(chain: list[int], kinds: list[WellNestedKind]):
         nonlocal best

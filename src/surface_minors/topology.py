@@ -1,8 +1,7 @@
 """Classification and surgery of cycles in an embedded graph.
 
 Sides of a cycle, separating / contractible status, Int/Ext, cutting
-along cycles, homotopy of cycle pairs, relative orientation, planar
-flipping, and the two-face cycle construction around an interior edge.
+along cycles, and homotopy of cycle pairs.
 
 Classification counts on the embedding as given.  Local changes on the
 cycle's vertices that make its signature positive are computed as a
@@ -25,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Sequence
 
-from .graph import Edge, Graph, GraphError, bridges_on, edge_key
-from .embedding import (Dart, Embedding, EmbeddingError, FaceWalk, check_cycle, dart_ends,
-                        _cyclic_rotations)
+from .graph import Edge, Graph, edge_key
+from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle
 
 
 class TopologyError(ValueError):
@@ -96,15 +94,6 @@ def induced_embedding(emb: Embedding, sub: Graph) -> Embedding:
         rotation[v] = [w for w in emb.rot[v] if w in keep]
     signature = {e: emb.sig[e] for e in sub.edges}
     return Embedding.build(sub, rotation, signature)
-
-
-def induced_genus(emb: Embedding, sub: Graph) -> int:
-    """Euler genus of the induced embedding, summed per component."""
-    total = 0
-    for comp in sub.components():
-        piece = sub.subgraph(comp)
-        total += induced_embedding(emb, piece).euler_genus()
-    return total
 
 
 def _cycle_edges(cycle: Sequence[int]) -> list[Edge]:
@@ -214,17 +203,6 @@ class CycleAnalysis:
         cset, cyc_edges = set(self.cycle), self.edges
         return frozenset(e for e in self.graph.edges if e in cyc_edges
                          or self.roots[_end_node(cset, self.end_side, *e)] == root)
-
-    def int_subgraph(self) -> Graph:
-        """Int(C) = C together with the bridges on its disk side."""
-        return self.graph.edge_subgraph(self.int_edges, extra_vertices=self.int_vertices)
-
-    def ext_subgraph(self) -> Graph:
-        side = self.int_side()
-        other = "right" if side == "left" else "left"
-        edges = self.side_edges(other)
-        verts = self.side_vertices(other)
-        return self.graph.edge_subgraph(edges, extra_vertices=verts)
 
     def interior_vertices(self) -> frozenset[int]:
         """Vertices strictly inside C (in int, not on C)."""
@@ -645,207 +623,3 @@ def _lift_cycle(cut: CutResult, analysis: CycleAnalysis,
     except EmbeddingError:
         return None
     return lifted
-
-
-# ---------------------------------------------------------------------------
-# Relative orientation
-# ---------------------------------------------------------------------------
-
-
-def _oriented_faces(emb: Embedding) -> list[tuple[Dart, ...]]:
-    """Directed facial walks of one coherent orientation of a connected
-    genus-0 all-positive embedding: the traversal orbits that never flip
-    the reading sense."""
-    norm = emb.normalize_signatures()
-    if any(s < 0 for _, s in norm.signature):
-        raise TopologyError("oriented faces: embedding is not orientable")
-    return [dart_ends(norm.graph, [s >> 1 for s in orbit]) for orbit in norm.orbits
-            if not any(s & 1 for s in orbit)]  # every state in the forward sense
-
-
-def _cycle_direction_bit(faces: list[tuple[Dart, ...]],
-                         cycle_orig: tuple[int, ...],
-                         origin: dict[int, int]) -> bool | None:
-    """Find the cap face that is exactly the cycle and report whether its
-    walk agrees with the cycle's reference direction (smallest vertex to
-    its smaller neighbor)."""
-    l = len(cycle_orig)
-    want = set(cycle_orig)
-    for walk in faces:
-        mapped = [origin[a] for a, _ in walk]
-        if len(walk) == l and set(mapped) == want and len(set(mapped)) == l:
-            seq = tuple(mapped)
-            ref = _reference_direction(cycle_orig)
-            if _cyclic_rotations(seq) == _cyclic_rotations(ref):
-                return True
-            if _cyclic_rotations(seq) == _cyclic_rotations(tuple(reversed(ref))):
-                return False
-    return None
-
-
-def _reference_direction(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    l = len(cycle)
-    i = cycle.index(min(cycle))
-    nxt, prv = cycle[(i + 1) % l], cycle[(i - 1) % l]
-    seq = cycle[i:] + cycle[:i]
-    if nxt <= prv:
-        return seq
-    return (seq[0],) + tuple(reversed(seq[1:]))
-
-
-def _relative_orientation_bit(graph: Graph, emb: Embedding,
-                              c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    """In the genus-0 piece between the cycles, fix the global orientation
-    by C1's reference walk and read off C2's induced direction."""
-    found = _cylinder(graph, emb, c1, c2)
-    if found is None:
-        raise TopologyError("relative orientation: cycles bound no common cylinder")
-    _, pemb, origin = found
-    faces = _oriented_faces(pemb)
-    bit1 = _cycle_direction_bit(faces, c1, origin)
-    bit2 = _cycle_direction_bit(faces, c2, origin)
-    if bit1 is None or bit2 is None:
-        raise TopologyError("relative orientation: cap walks not found in the piece")
-    return bit1 == bit2
-
-
-def same_relative_orientation(c1: Sequence[int], c2: Sequence[int],
-                              emb_a: Embedding, emb_b: Embedding) -> bool:
-    """Whether fixing the walk direction of the first cycle induces the
-    same walk of the second cycle in both embeddings.
-
-    The cycles must be almost disjoint and bound a common disk/cylinder
-    region in each embedding (contractible pair in one, noncontractible
-    homotopic in the other is the intended use; any pair for which both
-    regions exist is accepted).
-    """
-    cyc1 = check_cycle(emb_a.graph, c1)
-    cyc2 = check_cycle(emb_a.graph, c2)
-    if len(set(cyc1) & set(cyc2)) > 1:
-        raise TopologyError("same_relative_orientation: cycles are not almost disjoint")
-    bit_a = _relative_orientation_bit(emb_a.graph, emb_a, cyc1, cyc2)
-    bit_b = _relative_orientation_bit(emb_b.graph, emb_b, cyc1, cyc2)
-    return bit_a == bit_b
-
-
-# ---------------------------------------------------------------------------
-# Planar flipping
-# ---------------------------------------------------------------------------
-
-
-def flip(graph: Graph, emb: Embedding, cycle: Sequence[int],
-         outer_face: FaceWalk | None = None) -> Embedding:
-    """Reembed the closed interior of a cycle of a 2-connected planar
-    embedding mirror-wise, leaving the exterior unchanged.
-
-    At most two cycle vertices may carry exterior edges.  Interior
-    vertices get reversed rotations; at the two attach vertices only the
-    interior arc of the rotation is reversed in place; signatures flip on
-    the edges between moved and unmoved vertices.
-    """
-    if emb.euler_genus() != 0:
-        raise TopologyError("flip: embedding is not planar")
-    cyc = check_cycle(graph, cycle)
-    analysis = classify_cycle(graph, emb, cyc, outer_face=outer_face)
-    if not analysis.is_contractible:
-        raise TopologyError("flip: cycle is not contractible")  # pragma: no cover
-    ext = analysis.ext_subgraph()
-    cyc_edges = set(_cycle_edges(cyc))
-    ext_only = [e for e in ext.edges if e not in cyc_edges]
-    attach = sorted({v for e in ext_only for v in e if v in set(cyc)})
-    if len(attach) > 2:
-        raise TopologyError(f"flip: {len(attach)} cycle vertices attach to the "
-                            "exterior; at most two are allowed")
-    interior = analysis.int_subgraph()
-    moved = set(interior.vertices) - set(attach)
-    norm = analysis.normalized
-
-    rotation: dict[int, tuple[int, ...] | list[int]] = {}
-    for v in graph.vertices:
-        order = norm.rot[v]
-        if v in moved:
-            rotation[v] = tuple(reversed(order))
-        elif v in attach:
-            rotation[v] = _reverse_arc(order, v, interior, set(attach))
-        else:
-            rotation[v] = order
-    signature = {e: (-s if (e[0] in moved) != (e[1] in moved) else s)
-                 for e, s in norm.signature}
-    out = Embedding.build(graph, rotation, signature)
-    if out.euler_genus() != 0:
-        raise TopologyError("flip: result is not planar")
-    return out
-
-
-def _reverse_arc(order: tuple[int, ...], v: int, interior: Graph,
-                 attach: set[int]) -> list[int]:
-    """Reverse in place the contiguous run of interior-side ends at an
-    attach vertex."""
-    flags = [interior.has_edge(v, w) if w in interior._adj and v in interior._adj else False
-             for w in order]
-    k = len(order)
-    if all(flags) or not any(flags):
-        return list(order)
-    # rotate so the run of interior ends is contiguous from index 0
-    start = next(i for i in range(k) if flags[i] and not flags[(i - 1) % k])
-    seq = [order[(start + j) % k] for j in range(k)]
-    fl = [flags[(start + j) % k] for j in range(k)]
-    run = fl.index(False)
-    if any(fl[run:]):
-        raise TopologyError("flip: interior ends not contiguous at attach vertex")
-    return seq[:run][::-1] + seq[run:]
-
-
-# ---------------------------------------------------------------------------
-# The cycle around an interior edge
-# ---------------------------------------------------------------------------
-
-
-def build_Ce(graph: Graph, emb: Embedding, cycle: Sequence[int],
-             e: tuple[int, int],
-             outer_face: FaceWalk | None = None) -> tuple[int, ...]:
-    """For an edge inside a contractible cycle, the union of its two
-    incident faces minus the edge is again a contractible cycle whose
-    interior is exactly that edge."""
-    cyc = check_cycle(graph, cycle)
-    ek = edge_key(*e)
-    if ek not in graph.edge_set:
-        raise TopologyError(f"build_Ce: {ek} is not an edge")
-    analysis = classify_cycle(graph, emb, cyc, outer_face=outer_face)
-    if not analysis.is_contractible:
-        raise TopologyError("build_Ce: cycle is not contractible")
-    if ek in set(_cycle_edges(cyc)):
-        raise TopologyError(f"build_Ce: edge {ek} lies on the cycle itself")
-    if ek not in analysis.side_edges(analysis.int_side()):
-        raise TopologyError(f"build_Ce: edge {ek} is not inside the cycle")
-    incident = [f for f in emb.faces() if ek in f.edge_set]
-    if len(incident) != 2:
-        raise TopologyError("build_Ce: edge lies on one face only; "
-                            "2-connectivity assumption violated")
-    f1, f2 = incident
-    edges = (f1.edge_set | f2.edge_set) - {ek}
-    sub = graph.edge_subgraph(edges)
-    ce = _subgraph_as_cycle(sub)
-    if ce is None:
-        raise TopologyError("build_Ce: face union minus the edge is not a cycle")
-    return ce
-
-
-def _subgraph_as_cycle(sub: Graph) -> tuple[int, ...] | None:
-    """The vertices of a nonempty connected 2-regular subgraph in walk
-    order from its smallest vertex; None for any other subgraph."""
-    if sub.n == 0 or sub.m != sub.n or any(sub.degree(v) != 2 for v in sub.vertices):
-        return None
-    if not sub.is_connected():
-        return None
-    start = min(sub.vertices)
-    walk = [start]
-    prev = None
-    while True:
-        nxts = [w for w in sub.neighbors(walk[-1]) if w != prev]
-        nxt = nxts[0] if nxts else prev
-        if nxt == start:
-            break
-        prev = walk[-1]
-        walk.append(nxt)
-    return tuple(walk) if len(walk) == sub.n else None

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Edge, Graph, GraphError, edge_key
+from .graph import Graph
 
 
 class TreeDecompositionError(ValueError):

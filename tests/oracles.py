@@ -3,9 +3,8 @@
 Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
-no pruning and no symmetry reduction, treewidth is minimized over all
-elimination orderings or by the recurrence over all vertex subsets, and
-separators come from exhaustive subset checks.
+no pruning and no symmetry reduction, and treewidth is minimized over all
+elimination orderings or by the recurrence over all vertex subsets.
 """
 
 from __future__ import annotations
@@ -129,20 +128,8 @@ def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive separators and treewidth
+# Exhaustive treewidth
 # ---------------------------------------------------------------------------
-
-
-def brute_force_separator(graph: Graph, k: int) -> frozenset[int] | None:
-    """Smallest separating vertex set of size <= k by subset enumeration."""
-    if not graph.is_connected():
-        return frozenset()
-    for size in range(k + 1):
-        for cut in itertools.combinations(graph.vertices, size):
-            rest = graph.subgraph([v for v in graph.vertices if v not in cut])
-            if rest.n and not rest.is_connected():
-                return frozenset(cut)
-    return None
 
 
 def brute_force_treewidth(graph: Graph) -> int:

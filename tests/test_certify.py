@@ -1,17 +1,11 @@
 import json
 
-import pytest
-
 from surface_minors.graph import Graph
-from surface_minors.genus_search import Surface, cached_profile, embeddable_in
-from surface_minors.certify import (CertificationError, MinorWitness,
-                                    blocks_are_excluded_minors,
-                                    certificate_from_json, certificate_to_json,
+from surface_minors.genus_search import Surface, embeddable_in
+from surface_minors.certify import (MinorWitness, certificate_from_json, certificate_to_json,
                                     certify_excluded_minor, check_genus_range,
-                                    check_superadditive_bound_transfer,
-                                    check_two_separation_property,
                                     verify_certificate)
-from surface_minors.bounds import constants
+from surface_minors.bounds import check_superadditive, constants
 from conftest import complete, complete_bipartite
 
 SPHERE = Surface(0, True)
@@ -104,14 +98,6 @@ def test_certificate_with_missing_minor_rejected():
     assert not ok and "not covered" in why
 
 
-def test_blocks_are_excluded_minors():
-    out = certify_excluded_minor(complete_bipartite(3, 3), SPHERE)
-    res = blocks_are_excluded_minors(out.certificate)
-    assert len(res) == 1
-    block, surface = res[0]
-    assert surface == SPHERE
-
-
 def test_blocks_of_wedge_certify_per_block():
     k33 = complete_bipartite(3, 3)
     wedge = Graph.build(range(11), list(k33.edges)
@@ -122,28 +108,17 @@ def test_blocks_of_wedge_certify_per_block():
     assert genus_via_blocks(wedge) == 2
     out = certify_excluded_minor(wedge, N1)
     assert out.certified
-    res = blocks_are_excluded_minors(out.certificate)
-    assert len(res) == 2
-    assert all(s == SPHERE for _, s in res)
-
-
-def test_two_separation_property_vacuous_on_3_connected():
-    for g in (complete(5), complete_bipartite(3, 3)):
-        out = certify_excluded_minor(g, SPHERE)
-        emb = cached_profile(g).nonorientable_witness
-        holds, violation = check_two_separation_property(out.certificate, emb)
-        assert holds and violation is None
 
 
 def test_superadditive_bound_transfer():
     u_fn = lambda g: constants(g).u_log2
-    assert check_superadditive_bound_transfer(u_fn, 1, 1)
-    assert check_superadditive_bound_transfer(u_fn, 1, 2)
+    assert check_superadditive(u_fn, 1, 1)
+    assert check_superadditive(u_fn, 1, 2)
     # a constant function fails superadditivity
     const = lambda g: 7
-    assert not check_superadditive_bound_transfer(const, 1, 1)
+    assert not check_superadditive(const, 1, 1)
     # g + 1 is increasing but not superadditive: N(2) = 3 < N(1) + N(1) = 4
     ident = lambda g: g + 1
-    assert check_superadditive_bound_transfer(ident, 1, 1) is False
+    assert check_superadditive(ident, 1, 1) is False
     # 2^g is: N(3) = 8 >= N(1) + N(2) = 6
-    assert check_superadditive_bound_transfer(lambda g: 2 ** g, 1, 2) is True
+    assert check_superadditive(lambda g: 2 ** g, 1, 2) is True

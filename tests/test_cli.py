@@ -44,6 +44,19 @@ def test_malformed_budget_env_is_a_cli_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flags", [["genus", "--json-graph"],
+                                   ["faces", "--graph6", "D~{", "--embedding"]],
+                         ids=["json-graph", "embedding"])
+def test_missing_input_file_is_a_cli_error(tmp_path, capsys, flags):
+    missing = str(tmp_path / "missing.json")
+    code = main(flags + [missing])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_embeddable_two_k33_in_klein_bottle(capsys):
     k33 = complete_bipartite(3, 3)
     two = Graph.build(range(12), list(k33.edges) + [(u + 6, v + 6) for u, v in k33.edges])

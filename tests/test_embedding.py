@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from surface_minors.graph import Graph
 from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk,
-                                      default_embedding, enumerate_embeddings,
-                                      euler_genus, face_traversal,
+                                      default_embedding, face_traversal,
                                       random_embedding)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph
-from oracles import naive_face_count, connected_graphs_up_to
+from conftest import complete, cycle_graph, path_graph
+from oracles import all_rotation_signatures, naive_face_count
 
 
 def random_connected(rng, max_n=7, extra=6):
@@ -248,11 +247,11 @@ def test_embedding_json_roundtrip_bit_exact():
         assert back.to_json() == text
 
 
-def test_enumerate_embeddings_counts():
+def test_all_rotation_signatures_counts():
     # C3: one rotation system, 2 cotree patterns
-    assert sum(1 for _ in enumerate_embeddings(cycle_graph(3))) == 2
+    assert sum(1 for _ in all_rotation_signatures(cycle_graph(3))) == 2
     # K4: (3-1)!^4 rotations x 2^3 patterns
-    assert sum(1 for _ in enumerate_embeddings(complete(4))) == 16 * 8
+    assert sum(1 for _ in all_rotation_signatures(complete(4))) == 16 * 8
 
 
 @given(st.integers(min_value=0, max_value=100_000))

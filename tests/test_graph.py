@@ -1,18 +1,15 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surface_minors.graph import (Graph, GraphError, apply_minor_op, blocks,
-                                  bridges_on, contract_edge, delete_edge,
-                                  delete_vertex, dedupe_isomorphic,
-                                  find_separator, graph6_decode, graph6_encode,
+                                  contract_edge, delete_edge, delete_vertex,
+                                  dedupe_isomorphic, graph6_decode, graph6_encode,
                                   graph_from_json, graph_to_json, group_isomorphic,
-                                  is_isomorphic, one_step_minors, parse_graph,
-                                  separations_of_order)
+                                  is_isomorphic, one_step_minors, parse_graph)
 from conftest import complete, complete_bipartite, cycle_graph, path_graph
-from oracles import adjacency_contract, brute_force_separator
+from oracles import adjacency_contract
 
 
 def test_build_rejects_loops_and_undeclared_endpoints():
@@ -135,90 +132,6 @@ def test_blocks_partition_edges(seed):
         for v in b.vertices:
             counts[v] = counts.get(v, 0) + 1
     assert cuts == frozenset(v for v, c in counts.items() if c > 1)
-
-
-def test_bridges_k4_on_triangle():
-    k4 = complete(4)
-    tri = k4.subgraph([0, 1, 2])
-    out = bridges_on(k4, tri)
-    assert len(out) == 1
-    b = out[0]
-    assert b.kind == "attached-component" and b.attaches == frozenset({0, 1, 2})
-    assert b.body.m == 3
-
-
-def test_bridges_cycle_on_itself_empty():
-    c5 = cycle_graph(5)
-    assert bridges_on(c5, c5) == []
-
-
-def test_bridges_chord():
-    g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    c4 = g.edge_subgraph([(0, 1), (1, 2), (2, 3), (0, 3)])
-    out = bridges_on(g, c4)
-    assert len(out) == 1 and out[0].kind == "chord-edge"
-    assert out[0].attaches == frozenset({0, 2})
-
-
-def test_bridges_partition_property():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randrange(3, 9)
-        edges = {(i, rng.randrange(i)) for i in range(1, n)}
-        for _ in range(rng.randrange(0, 8)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        g = Graph.build(range(n), edges)
-        h0 = g.subgraph(rng.sample(list(g.vertices), rng.randrange(1, n)))
-        out = bridges_on(g, h0)
-        bridge_edges = [e for br in out for e in br.body.edges]
-        assert sorted(bridge_edges) == sorted(set(g.edges) - set(h0.edges))
-        for br in out:
-            assert br.attaches <= set(h0.vertices)
-
-
-def test_find_separator_examples():
-    assert find_separator(complete(4), 2) is None  # K4 is 3-connected
-    two_tri = Graph.build(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert find_separator(two_tri, 1) == frozenset({2})
-    k33 = complete_bipartite(3, 3)
-    assert find_separator(k33, 2) is None
-    cut = find_separator(k33, 3)
-    assert cut is not None and len(cut) == 3
-    rest = k33.subgraph([v for v in k33.vertices if v not in cut])
-    assert not rest.is_connected()
-
-
-def test_find_separator_agrees_with_brute_force():
-    rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randrange(3, 9)
-        edges = {(i, rng.randrange(i)) for i in range(1, n)}
-        for _ in range(rng.randrange(0, 10)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        g = Graph.build(range(n), edges)
-        for k in range(0, n - 1):
-            mine = find_separator(g, k)
-            brute = brute_force_separator(g, k)
-            assert (mine is None) == (brute is None)
-            if mine is not None:
-                assert len(mine) <= k
-                rest = g.subgraph([v for v in g.vertices if v not in mine])
-                assert rest.n == 0 or not rest.is_connected()
-
-
-def test_separations_of_order_two():
-    # two triangles joined by two vertices: a proper 2-separation exists
-    g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    seps = separations_of_order(g, 2)
-    assert seps
-    for s in seps:
-        assert s.order == 2
-        assert set(s.side_a.vertices) | set(s.side_b.vertices) == set(g.vertices)
-        assert not (s.side_a.edge_set & s.side_b.edge_set)
 
 
 def test_graph6_roundtrip_known_strings():

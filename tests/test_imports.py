@@ -1,0 +1,74 @@
+"""Every module-level import in the package is used by its module.
+
+No linter ships with the toolchain, so this is the check: each
+``src/surface_minors/*.py`` except ``__init__.py`` (whose imports are
+its exports) is parsed with ``ast``, and every name a module-level
+import binds must be read somewhere in that module.  Names read only
+inside string annotations count as read.  ``__future__`` imports are
+ignored.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import surface_minors
+
+PACKAGE = Path(surface_minors.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound -> line, for each module-level import."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those in string
+    annotations."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= _read_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read_names(tree)
+    unused = sorted((line, name) for name, line in _imported_names(tree).items()
+                    if name not in read)
+    assert not unused, f"{path.name}: unused imports " + ", ".join(
+        f"{name} (line {line})" for line, name in unused)
+
+
+def test_checker_flags_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, sys as system\n"
+                     "from typing import Sequence, Mapping\n"
+                     "def f(x: 'Sequence[int]'):\n"
+                     "    return os.sep\n")
+    read = _read_names(tree)
+    unused = {n for n in _imported_names(tree) if n not in read}
+    assert unused == {"system", "Mapping"}

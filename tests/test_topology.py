@@ -9,17 +9,18 @@ from pathlib import Path
 import pytest
 
 from surface_minors.graph import Graph, edge_key
-from surface_minors.embedding import (Embedding, FaceWalk, default_embedding,
-                                      enumerate_embeddings, random_embedding)
-from surface_minors.topology import (TopologyError, are_homotopic, build_Ce,
-                                     classify_cycle, cut_along, flip,
-                                     induced_embedding, induced_genus,
-                                     same_relative_orientation, total_genus)
+from surface_minors.embedding import Embedding, FaceWalk, default_embedding, random_embedding
+from surface_minors.topology import (TopologyError, are_homotopic, classify_cycle, cut_along,
+                                     total_genus)
 from surface_minors.structure import enumerate_cycles
-from conftest import (complete, complete_bipartite, cycle_graph, path_graph,
-                      planar_embedding, rotations_from_positions, torus_grid,
-                      wheel)
-from oracles import connected_graphs_up_to, torus_winding
+from conftest import (complete, complete_bipartite, cycle_graph, planar_embedding,
+                      torus_grid, wheel)
+from oracles import all_rotation_signatures, connected_graphs_up_to, torus_winding
+
+
+def all_embeddings(g: Graph):
+    """One embedding per rotation system and cotree signature pattern."""
+    return (Embedding.build(g, r, s) for r, s, _ in all_rotation_signatures(g))
 
 
 K4_PLANAR = Embedding.build(complete(4), rotation={0: [1, 2, 3], 1: [0, 3, 2],
@@ -107,7 +108,7 @@ def test_cut_all_small_graph_invariants():
         cycles, _ = enumerate_cycles(g)
         if not cycles:
             continue
-        embs = itertools.islice(enumerate_embeddings(g), 40)
+        embs = itertools.islice(all_embeddings(g), 40)
         for emb in embs:
             genus = emb.euler_genus()
             for cyc in cycles:
@@ -175,7 +176,7 @@ def test_counted_sides_agree_with_cut():
     # graph such as are_homotopic classifies in
     rng = random.Random(5)
     g33, e33 = torus_grid(3, 3)
-    cases = [(complete(4), e) for e in enumerate_embeddings(complete(4))]
+    cases = [(complete(4), e) for e in all_embeddings(complete(4))]
     cases += [(complete(6), projective_k6()), (g33, e33)]
     for g in (complete(5), complete(6), complete_bipartite(3, 4), wheel(6)):
         cases += [(g, random_embedding(g, rng)) for _ in range(8)]
@@ -223,11 +224,9 @@ def test_topology_checks_survive_optimize():
         c3 = Graph.build(range(3), [(0, 1), (1, 2), (0, 2)])
         emb = Embedding.build(c3, signature={(0, 1): -1})
         an = t.classify_cycle(c3, emb, [0, 1, 2])
-        star = Graph.build(range(5), [(0, 1), (0, 3)])
         checks = (lambda: t._normalizing_flips(emb, (0, 1, 2)),
                   an.faces_inside,
-                  lambda: an.side_vertices("left"),
-                  lambda: t._reverse_arc((1, 2, 3, 4), 0, star, {0}))
+                  lambda: an.side_vertices("left"))
         for check in checks:
             try:
                 check()
@@ -244,8 +243,7 @@ def test_topology_checks_survive_optimize():
     assert lines[0] == "debug False"
     assert lines[1:] == ["TopologyError cycle signature parity does not admit this normal form",
                          "TopologyError Int/Ext: cycle is not contractible",
-                         "TopologyError sides: cycle is one-sided",
-                         "TopologyError flip: interior ends not contiguous at attach vertex"]
+                         "TopologyError sides: cycle is one-sided"]
 
 
 def test_faces_inside_k4():
@@ -265,7 +263,7 @@ def test_lemma_faces_are_cycles_inside_contractible():
         if len(blks) != 1 or cuts or blks[0].n != g.n:
             continue  # not 2-connected
         cycles, _ = enumerate_cycles(g)
-        for emb in itertools.islice(enumerate_embeddings(g), 12):
+        for emb in itertools.islice(all_embeddings(g), 12):
             for cyc in cycles[:6]:
                 an = classify_cycle(g, emb, cyc)
                 if an.is_contractible:
@@ -322,90 +320,6 @@ def test_homotopy_symmetric_on_disjoint_pairs():
         assert (r1 is None) == (r2 is None)
 
 
-def test_same_relative_orientation_identity_and_mirror():
-    # cycles bounding a cylinder in a planar prism; compare the embedding
-    # with itself and with its mirror image
-    pr = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                                (0, 3), (1, 4), (2, 5)])
-    emb = planar_embedding(pr)
-    c1, c2 = [0, 1, 2], [3, 4, 5]
-    assert same_relative_orientation(c1, c2, emb, emb)
-    mirror = emb.local_change_set(set(pr.vertices))
-    # a global mirror flips both cycles together: still the same relative
-    # orientation
-    assert same_relative_orientation(c1, c2, emb, mirror)
-    # flipping only the inner triangle's disk reverses one cycle
-    flipped = Embedding.build(pr, rotation={
-        v: (tuple(reversed(emb.rot[v])) if v in (3, 4, 5) else emb.rot[v])
-        for v in pr.vertices})
-    if flipped.euler_genus() == 0:
-        assert not same_relative_orientation(c1, c2, emb, flipped)
-
-
-def test_flip_involution_and_faces():
-    g = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    emb = planar_embedding(g)
-    outer = [f for f in emb.faces() if f.size == 4][0]
-    once = flip(g, emb, [0, 1, 2, 3], outer_face=outer)
-    assert once.euler_genus() == 0
-    assert sorted(f.size for f in once.faces()) == sorted(f.size for f in emb.faces())
-    twice = flip(g, once, [0, 1, 2, 3], outer_face=outer)
-    assert twice.equivalent(emb)
-
-
-def test_flip_empty_interior_is_identity_up_to_equivalence():
-    c4 = cycle_graph(4)
-    emb = default_embedding(c4)
-    outer = emb.faces()[0]
-    out = flip(c4, emb, [0, 1, 2, 3], outer_face=outer)
-    assert out.equivalent(emb)
-
-
-def test_flip_rejects_three_attachments():
-    w = wheel(4)  # hub 0 attached to all rim vertices
-    emb = planar_embedding(w)
-    rim = [1, 2, 3, 4]
-    # interior of the rim holds the hub; exterior holds nothing, so flip
-    # the rim seen from the hub side: designate outer face inside a
-    # triangle, making three rim vertices exterior-attached
-    tri_face = [f for f in emb.faces() if f.size == 3][0]
-    with pytest.raises(TopologyError):
-        flip(w, emb, rim, outer_face=tri_face)
-
-
-def test_build_ce_wheel_and_octahedron():
-    w5 = wheel(5)
-    emb = planar_embedding(w5)
-    rim_face = [f for f in emb.faces() if f.size == 5][0]
-    ce = build_Ce(w5, emb, [1, 2, 3, 4, 5], (0, 3), outer_face=rim_face)
-    assert len(ce) == 4
-    an = classify_cycle(w5, emb, ce, outer_face=rim_face)
-    assert an.is_contractible
-    assert an.side_edges(an.int_side()) - set(
-        edge_key(ce[i], ce[(i + 1) % 4]) for i in range(4)) == {(0, 3)}
-
-    octa = Graph.build(range(6), [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
-                                  (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])
-    eo = planar_embedding(octa)
-    outer = [f for f in eo.faces() if f.vertex_set == frozenset({0, 1, 2})][0]
-    for e in octa.edges:
-        if e in outer.edge_set:
-            continue
-        ce = build_Ce(octa, eo, [0, 1, 2], e, outer_face=outer)
-        assert len(ce) == 4
-
-
-def test_build_ce_rejects_cycle_edges_and_outside():
-    w5 = wheel(5)
-    emb = planar_embedding(w5)
-    rim_face = [f for f in emb.faces() if f.size == 5][0]
-    with pytest.raises(TopologyError):
-        build_Ce(w5, emb, [1, 2, 3, 4, 5], (1, 2), outer_face=rim_face)
-    # from the other side, every spoke is outside the (now tiny) interior
-    tri = [f for f in emb.faces() if f.size == 3][0]
-    inner_cycle = sorted(tri.vertex_set)
-
-
 def test_theta_two_contractible_implies_third():
     # three internally disjoint x-y paths: if two of the three cycles are
     # contractible, so is the third
@@ -413,7 +327,7 @@ def test_theta_two_contractible_implies_third():
     theta = Graph.build(range(5), [(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4)])
     paths = ([0, 1, 4], [0, 2, 4], [0, 3, 4])
     count = 0
-    for emb in enumerate_embeddings(theta):
+    for emb in all_embeddings(theta):
         cycles = [paths[0][:-1] + [4] + [2],  # placeholder, built below
                   None, None]
         c01 = [0, 1, 4, 2]
@@ -425,9 +339,3 @@ def test_theta_two_contractible_implies_third():
             assert all(flags)
             count += 1
     assert count > 0
-
-
-def test_induced_genus_of_disconnected_side():
-    g = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    emb = default_embedding(g)
-    assert induced_genus(emb, g) == 0
