@@ -156,13 +156,6 @@ class BoundValue:
     exact: int | Fraction | None
     log2: Log2Interval | None
 
-    def log2_float(self) -> float | None:
-        if self.log2 is not None:
-            return self.log2.midpoint_float()
-        if isinstance(self.exact, int) and self.exact > 0:
-            return math.log2(self.exact)
-        return None
-
     def describe(self) -> dict:
         out: dict = {"name": self.name, "provenance": self.provenance}
         if self.exact is not None:

@@ -140,12 +140,6 @@ class Embedding:
     def sig(self) -> dict[Edge, int]:
         return dict(self.signature)
 
-    def rotation_at(self, v: int) -> tuple[int, ...]:
-        return self.rot[v]
-
-    def edge_signature(self, u: int, v: int) -> int:
-        return self.sig[edge_key(u, v)]
-
     # -- local changes and signature normal forms ---------------------------
 
     def local_change(self, v: int) -> "Embedding":

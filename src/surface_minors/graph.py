@@ -83,9 +83,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def max_degree(self) -> int:
-        return max((len(ns) for ns in self._adj.values()), default=0)
-
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
@@ -197,10 +194,6 @@ class Graph:
         g.add_nodes_from(self.vertices)
         g.add_edges_from(self.edges)
         return g
-
-    @staticmethod
-    def from_nx(g: nx.Graph) -> "Graph":
-        return Graph.build(g.nodes, g.edges)
 
     def relabeled(self) -> tuple["Graph", dict[int, int]]:
         """Relabel vertices to 0..n-1 in sorted id order."""
@@ -417,14 +410,101 @@ def one_step_minors(graph: Graph, dedup: bool = False) -> list[tuple[MinorOp, Gr
 # ---------------------------------------------------------------------------
 
 
-def _fingerprint(graph: Graph) -> tuple:
-    """Cheap isomorphism-invariant bucket key (degree sequence + 2 rounds
-    of neighborhood color refinement)."""
-    colors = {v: graph.degree(v) for v in graph.vertices}
-    for _ in range(2):
-        colors = {v: hash((colors[v], tuple(sorted(colors[w] for w in graph.neighbors(v)))))
-                  for v in graph.vertices}
-    return (graph.n, graph.m, tuple(sorted(colors.values())))
+class _Refined:
+    """A graph as vertex indices 0..n-1 with its stable colouring.
+
+    Colour refinement starts from degrees; each round gives every vertex
+    the rank of (its colour, its sorted neighbour colours) among the
+    graph's distinct signatures, until the number of colours stops
+    growing.  Ranks come from sorted signatures, never from vertex ids,
+    so an isomorphism maps each vertex to one of the same colour, and
+    ``key`` (size, rounds and colour multiset) is equal on isomorphic
+    graphs.
+    """
+
+    __slots__ = ("key", "colours", "nbrs", "adj", "classes")
+
+    def __init__(self, graph: Graph):
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        nbrs = [[index[w] for w in graph._adj[v]] for v in graph.vertices]
+        colours = [len(ns) for ns in nbrs]
+        count, rounds = len(set(colours)), 0
+        while True:
+            sigs = [(c, tuple(sorted(colours[j] for j in ns)))
+                    for c, ns in zip(colours, nbrs)]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            colours = [rank[s] for s in sigs]
+            rounds += 1
+            if len(rank) == count:
+                break
+            count = len(rank)
+        self.key = (graph.n, graph.m, rounds, tuple(sorted(colours)))
+        self.colours = colours
+        self.nbrs = nbrs
+        self.adj = [sum(1 << j for j in ns) for ns in nbrs]
+        self.classes: dict[int, list[int]] = {}
+        for i, c in enumerate(colours):
+            self.classes.setdefault(c, []).append(i)
+
+    def plan(self) -> tuple[list[int], list[list[int]]]:
+        """Colours of the vertices in matching order, and for each
+        position the earlier positions adjacent to it.  The order starts
+        in the rarest colour class and then always takes a vertex with
+        the most neighbours already placed (rarer colour first), so each
+        component is placed in a connected order."""
+        n = len(self.colours)
+        placed = [False] * n
+        links = [0] * n
+        position = [0] * n
+        order: list[int] = []
+        for _ in range(n):
+            v = min((i for i in range(n) if not placed[i]),
+                    key=lambda i: (-links[i], len(self.classes[self.colours[i]]),
+                                   self.colours[i], i))
+            placed[v] = True
+            position[v] = len(order)
+            order.append(v)
+            for w in self.nbrs[v]:
+                links[w] += 1
+        back = [[position[w] for w in self.nbrs[v] if position[w] < position[v]]
+                for v in order]
+        return [self.colours[v] for v in order], back
+
+
+def _isomorphic(plan: tuple[list[int], list[list[int]]], other: _Refined) -> bool:
+    """Backtracking search for an isomorphism onto ``other`` from the
+    graph whose ``plan`` is given (their keys must be equal).  Position
+    i of the plan may take an unused vertex of its colour whose
+    adjacency to the vertices already taken is exactly the image of its
+    own; True only once every position is taken, so the map is an
+    isomorphism."""
+    colours, back = plan
+    n = len(colours)
+    if n == 0:
+        return True
+    adj, classes = other.adj, other.classes
+    image = [0] * n       # bit of the vertex taken at each position
+    need = [0] * n        # bits the candidate at each position must see
+    tries = [iter(classes[colours[0]])] + [None] * (n - 1)
+    used, i = 0, 0
+    while True:
+        for w in tries[i]:
+            bit = 1 << w
+            if not used & bit and adj[w] & used == need[i]:
+                break
+        else:
+            i -= 1
+            if i < 0:
+                return False
+            used ^= image[i]
+            continue
+        image[i] = bit
+        used |= bit
+        i += 1
+        if i == n:
+            return True
+        need[i] = sum(image[j] for j in back[i])
+        tries[i] = iter(classes[colours[i]])
 
 
 def group_isomorphic(graphs: Sequence[Graph]) -> list[list[int]]:
@@ -432,21 +512,24 @@ def group_isomorphic(graphs: Sequence[Graph]) -> list[list[int]]:
     the order of their first member and members in input order, so the
     first member of each class is its representative in enumeration order.
 
-    Exact: each graph's refinement fingerprint is computed once, and a
-    graph is settled with VF2 against the class representatives in its
-    fingerprint bucket only.
+    Each graph is refined once to a stable colouring; graphs are bucketed
+    by the refinement key, and a graph is compared only with the class
+    representatives in its bucket.  The comparison searches bijections
+    that keep colours and adjacency and answers yes only with a complete
+    one in hand, while isomorphic graphs always share a key and every
+    isomorphism keeps colours, so the grouping is exact.
     """
     classes: list[list[int]] = []
-    buckets: dict[tuple, list[tuple[nx.Graph, list[int]]]] = {}
+    buckets: dict[tuple, list[tuple[tuple, list[int]]]] = {}
     for i, g in enumerate(graphs):
-        bucket = buckets.setdefault(_fingerprint(g), [])
-        gx = g.to_nx()
-        for rep, members in bucket:
-            if nx.is_isomorphic(gx, rep):
+        r = _Refined(g)
+        bucket = buckets.setdefault(r.key, [])
+        for plan, members in bucket:
+            if _isomorphic(plan, r):
                 members.append(i)
                 break
         else:
-            bucket.append((gx, [i]))
+            bucket.append((r.plan(), [i]))
             classes.append(bucket[-1][1])
     return classes
 

@@ -19,6 +19,12 @@ def grid(rows: int, cols: int) -> Graph:
     return Graph.build(range(rows * cols), edges)
 
 
+def petersen() -> Graph:
+    return Graph.build(range(10), [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def rotations_from_positions(g: Graph, pos: dict) -> dict:
     """Planar rotation system read off from straight-line coordinates."""
     return {v: tuple(sorted(g.neighbors(v),

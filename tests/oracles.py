@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
-no pruning and no symmetry reduction, and treewidth is minimized over all
-elimination orderings or by the recurrence over all vertex subsets.
+no pruning and no symmetry reduction, treewidth is minimized over all
+elimination orderings or by the recurrence over all vertex subsets, and
+isomorphism classes are settled pair by pair with networkx VF2.
 """
 
 from __future__ import annotations
@@ -227,6 +228,27 @@ def adjacency_contract(graph: Graph, u: int, v: int) -> tuple[int, int]:
     keep = [k for k in range(n) if k != j]
     edges = sum(mat[a][b] for ai, a in enumerate(keep) for b in keep[ai + 1:])
     return n - 1, edges
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism classes
+# ---------------------------------------------------------------------------
+
+
+def vf2_classes(graphs: list[Graph]) -> list[list[int]]:
+    """Indices grouped by isomorphism class, each graph compared with
+    every class representative by ``nx.is_isomorphic``.  Classes are in
+    the order of their first member and members in input order."""
+    classes: list[tuple[nx.Graph, list[int]]] = []
+    for i, g in enumerate(graphs):
+        gx = g.to_nx()
+        for rep, members in classes:
+            if nx.is_isomorphic(gx, rep):
+                members.append(i)
+                break
+        else:
+            classes.append((gx, [i]))
+    return [members for _, members in classes]
 
 
 # ---------------------------------------------------------------------------

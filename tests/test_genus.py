@@ -11,12 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from surface_minors import genus_search
 from surface_minors.graph import Graph, GraphError, one_step_minors
-from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, BudgetExceeded,
-                                         GenusProfile, Surface, _FaceTracker,
+from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, Surface, _FaceTracker,
                                          _SearchSpace, _sign_patterns, cached_profile,
                                          combined_minima, default_budget, embeddable_in,
                                          genus_via_blocks, min_euler_genus)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph, wheel
+from conftest import complete, complete_bipartite, cycle_graph, path_graph, petersen, wheel
 from oracles import (all_rotation_signatures, connected_graphs_up_to,
                      naive_face_count, naive_genus, naive_is_orientable,
                      naive_orbit_lengths, unpruned_min_genus)
@@ -208,12 +207,6 @@ def test_against_unpruned_oracle_exhaustive():
         assert (prof.orientable_min, prof.nonorientable_min) == expected, g.edges
         prof = cached_profile(g)
         assert (prof.orientable_min, prof.nonorientable_min) == expected, g.edges
-
-
-def petersen() -> Graph:
-    return Graph.build(range(10), [(i, (i + 1) % 5) for i in range(5)]
-                       + [(i, i + 5) for i in range(5)]
-                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
 def cube() -> Graph:

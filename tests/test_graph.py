@@ -1,15 +1,17 @@
+import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surface_minors.graph import (Graph, GraphError, apply_minor_op, blocks,
+from surface_minors.graph import (Graph, GraphError, _Refined, apply_minor_op, blocks,
                                   contract_edge, delete_edge, delete_vertex,
                                   dedupe_isomorphic, graph6_decode, graph6_encode,
                                   graph_from_json, graph_to_json, group_isomorphic,
                                   is_isomorphic, one_step_minors, parse_graph)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph
-from oracles import adjacency_contract
+from conftest import complete, complete_bipartite, cycle_graph, path_graph, petersen
+from oracles import adjacency_contract, vf2_classes
 
 
 def test_build_rejects_loops_and_undeclared_endpoints():
@@ -172,8 +174,8 @@ def test_dedupe_isomorphic():
 
 
 def test_group_isomorphic_settles_equal_fingerprints():
-    # C6 and 2C3, like K3,3 and the prism, are regular graphs that color
-    # refinement cannot tell apart: only VF2 splits them
+    # C6 and 2C3, like K3,3 and the prism, are regular graphs that colour
+    # refinement cannot tell apart: the matcher splits them
     two_triangles = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     prism = Graph.build(range(6), list(two_triangles.edges) + [(0, 3), (1, 4), (2, 5)])
     c6_shuffled = Graph.build(range(6), [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
@@ -182,3 +184,86 @@ def test_group_isomorphic_settles_equal_fingerprints():
     assert group_isomorphic(gs) == [[0, 3], [1], [2, 5], [4]]
     assert dedupe_isomorphic(gs) == [gs[0], gs[1], gs[2], gs[4]]
     assert is_isomorphic(gs[0], gs[3]) and not is_isomorphic(gs[0], gs[1])
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    """A copy of g on shuffled, non-contiguous vertex ids."""
+    ids = rng.sample(range(3 * g.n + 1), g.n)
+    lab = dict(zip(g.vertices, ids))
+    return Graph.build(ids, [(lab[u], lab[v]) for u, v in g.edges])
+
+
+def _join(g1: Graph, g2: Graph, wedge: bool) -> Graph:
+    """Disjoint union of g1 and g2, or with vertex 0 of each identified."""
+    lift = {v: 0 if wedge and v == 0 else v + g1.n for v in g2.vertices}
+    return Graph.build(list(g1.vertices) + list(lift.values()),
+                       list(g1.edges) + [(lift[u], lift[v]) for u, v in g2.edges])
+
+
+K5, K33 = complete(5), complete_bipartite(3, 3)
+# the graphs of the certify-minors benchmark panel
+CERTIFY_PANEL = {
+    "K5": K5, "K3,3": K33, "K6": complete(6), "K3,4": complete_bipartite(3, 4),
+    "Petersen": petersen(),
+    "2K5": _join(K5, K5, False), "K5+K3,3": _join(K5, K33, False),
+    "2K3,3": _join(K33, K33, False), "K5.K5": _join(K5, K5, True),
+    "K5.K3,3": _join(K5, K33, True), "K3,3.K3,3": _join(K33, K33, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_PANEL))
+def test_group_isomorphic_matches_vf2_on_panel_minors(name):
+    minors = [m for _, m in one_step_minors(CERTIFY_PANEL[name])]
+    assert group_isomorphic(minors) == vf2_classes(minors)
+    rng = random.Random(name)
+    mixed = minors + [_relabeled(m, rng) for m in rng.sample(minors, len(minors))]
+    assert group_isomorphic(mixed) == vf2_classes(mixed)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_group_isomorphic_matches_vf2_on_random_batches(seed):
+    # random regular graphs put non-isomorphic graphs with one colour class
+    # into a bucket, so the matcher has to reject as well as accept
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(rng.randrange(2, 7)):
+        if rng.random() < 0.3:
+            d, n = rng.choice([(2, 8), (3, 8), (3, 10), (4, 9)])
+            g = Graph.build(range(n), nx.random_regular_graph(d, n, seed=rng.randrange(2**32)).edges)
+        else:
+            n, p = rng.randrange(4, 10), rng.random()
+            g = Graph.build(range(n), [e for e in itertools.combinations(range(n), 2)
+                                       if rng.random() < p])
+        batch += [g] + [_relabeled(g, rng) for _ in range(rng.randrange(3))]
+    rng.shuffle(batch)
+    assert group_isomorphic(batch) == vf2_classes(batch)
+
+
+def _cayley_z4z4(steps: list[tuple[int, int]]) -> Graph:
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return Graph.build(range(16), [(4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
+                                   for i, j in cells for a, b in steps])
+
+
+def test_group_isomorphic_splits_rook_graph_from_shrikhande():
+    # both are strongly regular with parameters (16, 6, 2, 2), so colour
+    # refinement leaves one class on each and gives them the same key
+    rook = _cayley_z4z4([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+    shrikhande = _cayley_z4z4([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+    assert _Refined(rook).key == _Refined(shrikhande).key
+    rng = random.Random(16)
+    gs = [rook, shrikhande, _relabeled(shrikhande, rng), _relabeled(rook, rng)]
+    assert group_isomorphic(gs) == [[0, 3], [1, 2]] == vf2_classes(gs)
+
+
+def test_group_isomorphic_petersen_against_relabeled_copy_and_prism():
+    # the pentagonal prism is the other cubic graph on 10 vertices built
+    # from two 5-cycles and a matching
+    prism = Graph.build(range(10), [(i, (i + 1) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)]
+                        + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    rng = random.Random(10)
+    gs = [prism, petersen(), _relabeled(petersen(), rng), _relabeled(prism, rng)]
+    assert group_isomorphic(gs) == [[0, 3], [1, 2]] == vf2_classes(gs)
+    assert is_isomorphic(gs[1], gs[2]) and not is_isomorphic(gs[0], gs[1])

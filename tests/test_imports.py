@@ -1,11 +1,12 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package and its tests is used by its
+module.
 
 No linter ships with the toolchain, so this is the check: each
-``src/surface_minors/*.py`` except ``__init__.py`` (whose imports are
-its exports) is parsed with ``ast``, and every name a module-level
-import binds must be read somewhere in that module.  Names read only
-inside string annotations count as read.  ``__future__`` imports are
-ignored.
+``src/surface_minors/*.py`` and ``tests/*.py`` except ``__init__.py``
+and ``conftest.py`` (whose imports are re-exports) is parsed with
+``ast``, and every name a module-level import binds must be read
+somewhere in that module.  Names read only inside string annotations
+count as read.  ``__future__`` imports are ignored.
 """
 
 import ast
@@ -17,6 +18,7 @@ import surface_minors
 
 PACKAGE = Path(surface_minors.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "conftest.py")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -53,14 +55,23 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_module_imports_are_used(path):
+def _assert_imports_used(path: Path) -> None:
     tree = ast.parse(path.read_text(), filename=str(path))
     read = _read_names(tree)
     unused = sorted((line, name) for name, line in _imported_names(tree).items()
                     if name not in read)
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_are_used(path):
+    _assert_imports_used(path)
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_test_file_imports_are_used(path):
+    _assert_imports_used(path)
 
 
 def test_checker_flags_an_unused_import():
