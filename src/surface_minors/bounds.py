@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 Q_NUMERATOR = 9073
 Q_DENOMINATOR = 9072
 Q = Fraction(Q_NUMERATOR, Q_DENOMINATOR)
@@ -94,11 +92,14 @@ class Log2Interval:
 
 @contextmanager
 def _iv_precision(prec: int):
-    """Run interval arithmetic at ``prec`` bits."""
+    """Run interval arithmetic at ``prec`` bits; yields mpmath's interval
+    context, imported on first use so that importing the package does
+    not load mpmath."""
+    from mpmath import iv
     old = iv.prec
     iv.prec = prec
     try:
-        yield
+        yield iv
     finally:
         iv.prec = old
 
@@ -107,7 +108,7 @@ def log2_of_int(value: int, prec: int = 192) -> Log2Interval:
     """Certified log2 of a positive integer."""
     if value <= 0:
         raise BoundsError(f"log2_of_int: {value} is not positive")
-    with _iv_precision(prec):
+    with _iv_precision(prec) as iv:
         r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(2))
     return Log2Interval(*_interval_ends(r))
 
@@ -128,7 +129,7 @@ def certified_floor_log(value: int, base_num: int, base_den: int = 1,
         return 0
     prec = start_prec
     while prec <= MAX_PRECISION:
-        with _iv_precision(prec):
+        with _iv_precision(prec) as iv:
             r = iv.log(iv.mpf(value)) / iv.log(iv.mpf(base_num) / iv.mpf(base_den))
         lo, hi = (math.floor(x) for x in _interval_ends(r))
         if lo == hi:
@@ -272,7 +273,7 @@ def _log2_sum_at(x: Fraction, y: Fraction) -> Log2Interval:
     """Certified log2(2^x + 2^y) = top + log2(1 + 2^gap), where top is
     the larger exponent and gap <= 0 the other one less top."""
     top, gap = max(x, y), min(x, y) - max(x, y)
-    with _iv_precision(192):
+    with _iv_precision(192) as iv:
         r = iv.log(1 + iv.mpf(2) ** (iv.mpf(gap.numerator) / iv.mpf(gap.denominator))) \
             / iv.log(iv.mpf(2))
     lo, hi = _interval_ends(r)

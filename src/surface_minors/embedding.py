@@ -387,6 +387,13 @@ def _cyclic_equal(a: tuple, b: tuple) -> bool:
 def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
     """Validate a vertex sequence as a cycle of the graph; returns it as a
     tuple (without the repeated endpoint)."""
+    return cycle_edge_keys(graph, cycle)[0]
+
+
+def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
+                    ) -> tuple[tuple[int, ...], list[Edge]]:
+    """``check_cycle`` and the cycle's edge keys from the same walk: the
+    i-th key joins the i-th vertex to the next one, the last closes C."""
     cyc = tuple(cycle)
     if len(cyc) >= 2 and cyc[0] == cyc[-1]:
         cyc = cyc[:-1]
@@ -394,11 +401,12 @@ def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
         raise EmbeddingError(f"not a cycle (length {len(cyc)} < 3): {cyc}")
     if len(set(cyc)) != len(cyc):
         raise EmbeddingError(f"not a cycle (repeated vertex): {cyc}")
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        if not graph.has_edge(v, w):
-            raise EmbeddingError(f"not a cycle (missing edge {v}-{w})")
-    return cyc
+    ring = list(zip(cyc, cyc[1:] + cyc[:1]))
+    keys = [(v, w) if v < w else (w, v) for v, w in ring]
+    if not graph.edge_set.issuperset(keys):
+        v, w = next(p for p, e in zip(ring, keys) if e not in graph.edge_set)
+        raise EmbeddingError(f"not a cycle (missing edge {v}-{w})")
+    return cyc, keys
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 Edge = tuple[int, int]
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -189,7 +187,10 @@ class Graph:
 
     # -- conversions ------------------------------------------------------
 
-    def to_nx(self) -> nx.Graph:
+    def to_nx(self):
+        """The graph as a ``networkx.Graph``; networkx is imported here, so
+        importing the package does not load it."""
+        import networkx as nx
         g = nx.Graph()
         g.add_nodes_from(self.vertices)
         g.add_edges_from(self.edges)

@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
-
 from .graph import Edge, Graph
 from .embedding import Embedding, FaceWalk
 from .topology import (CycleAnalysis, classify_cycle, _as_path_sequence,
@@ -31,6 +29,7 @@ class StructureError(ValueError):
 def enumerate_cycles(graph: Graph, budget: int = 100_000) -> tuple[list[tuple[int, ...]], bool]:
     """Simple cycles as canonical vertex tuples; (cycles, exact).  The
     exact flag drops when the budget truncates the enumeration."""
+    import networkx as nx
     found = []
     for cyc in nx.simple_cycles(graph.to_nx()):
         if len(cyc) >= 3:

@@ -3,18 +3,19 @@
 Sides of a cycle, separating / contractible status, Int/Ext, cutting
 along cycles, and homotopy of cycle pairs.
 
-Classification counts on the embedding as given.  Local changes on the
-cycle's vertices that make its signature positive are computed as a
-vertex set only; the left/right side of every edge end at the cycle is
-read from the rotations, reversed at the flipped vertices.  A
-union-find over the off-cycle vertices plus one node per side tells
-whether the cycle separates, and labels the vertices and edges of each
-side.  Each side's Euler genus then follows from Euler's formula for
-the piece that cutting along the cycle and capping it with a disk would
-give: the side's vertices and edges, plus the faces of the embedding
-lying on that side, plus the cap.  The normalized embedding and the cut
-graph are built only when a caller asks for them (``normalized``,
-``cut``).
+Classification counts on the embedding as given.  One walk along the
+cycle C validates it, finds its edge keys, and reads the left/right
+side of every edge end at C from the rotations, stepping backward at
+the vertices whose local changes would make C's signature positive
+(found as a vertex set only).  From each end that leaves C a stack
+search labels that end's component of G - V(C) with the end's side; C
+separates unless a component is reached from both sides or a chord
+joins the two.  Each side's Euler genus then follows from Euler's
+formula for the piece that cutting along C and capping it with a disk
+would give: the side's vertices and edges, plus the faces of the
+embedding lying on that side, plus the cap.  The normalized embedding
+and the cut graph are built only when a caller asks for them
+(``normalized``, ``cut``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from typing import AbstractSet, Sequence
 
 from .graph import Edge, Graph, edge_key
-from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle
+from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle, cycle_edge_keys
 
 
 class TopologyError(ValueError):
@@ -101,18 +102,22 @@ def _cycle_edges(cycle: Sequence[int]) -> list[Edge]:
 
 
 def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
-                       leave_negative_last: bool = False) -> frozenset[int]:
+                       leave_negative_last: bool = False,
+                       keys: Sequence[Edge] | None = None) -> frozenset[int]:
     """The vertices of C whose local changes make every signature on C
     positive (two-sided C), or every one positive except the closing
-    edge (one-sided C with ``leave_negative_last``)."""
+    edge (one-sided C with ``leave_negative_last``).  ``keys`` are C's
+    edge keys as ``cycle_edge_keys`` gives them, found here if omitted."""
+    if keys is None:
+        keys = _cycle_edges(cycle)
     sig = emb.sig
     flips = set()
     flipped = False
     for i in range(1, len(cycle)):
-        flipped ^= sig[edge_key(cycle[i - 1], cycle[i])] < 0
+        flipped ^= sig[keys[i - 1]] < 0
         if flipped:
             flips.add(cycle[i])
-    closing_negative = sig[edge_key(cycle[-1], cycle[0])] < 0
+    closing_negative = sig[keys[-1]] < 0
     if flipped ^ closing_negative != leave_negative_last:
         raise TopologyError("cycle signature parity does not admit this normal form")
     return frozenset(flips)
@@ -120,9 +125,9 @@ def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
 
 def _end_node(cset: set[int], end_side: dict[tuple[int, int], str],
               u: int, v: int):
-    """The union-find node of edge uv's end at u: u itself off the cycle,
-    else the side the end leaves the cycle on.  Both ends of an edge off
-    C are joined, so either end's root is the edge's side."""
+    """The node of edge uv's end at u: u itself off the cycle, else the
+    side the end leaves the cycle on.  Both ends of an edge off C lie on
+    the same side, so either end's root is the edge's side."""
     return end_side[(u, v)] if u in cset else u
 
 
@@ -140,8 +145,9 @@ class CycleAnalysis:
     # as read in the normalized embedding
     end_side: dict[tuple[int, int], str]
     flips: frozenset[int]           # local changes on V(C) that normalize C
-    # union-find root of every off-cycle vertex and of the "left" and
-    # "right" end nodes; None for one-sided cycles
+    edges: frozenset[Edge]          # C's edges
+    # side label of every off-cycle vertex and of the "left" and "right"
+    # end nodes, equal exactly for the same side; None for one-sided cycles
     roots: dict | None = None
     left_genus: int | None = None
     right_genus: int | None = None
@@ -163,11 +169,6 @@ class CycleAnalysis:
     @property
     def is_contractible(self) -> bool:
         return self.classification.contractible
-
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        """C's edges."""
-        return frozenset(_cycle_edges(self.cycle))
 
     @cached_property
     def int_vertices(self) -> frozenset[int]:
@@ -220,39 +221,12 @@ class CycleAnalysis:
 
 def _face_root(face: FaceWalk, cset: set[int], cyc_edges: set[Edge],
                end_side: dict[tuple[int, int], str], roots: dict):
-    """The union-find root of the face's first edge off C; None for a
-    face made only of C's edges, which lies on a side with no ends."""
+    """The root of the face's first edge off C; None for a face made
+    only of C's edges, which lies on a side with no ends."""
     for a, b in face.darts:
         if (a, b) not in cyc_edges and (b, a) not in cyc_edges:
             return roots[_end_node(cset, end_side, a, b)]
     return None
-
-
-def _end_sides(emb: Embedding, cycle: tuple[int, ...],
-               flips: frozenset[int]) -> dict[tuple[int, int], str]:
-    """Per edge-end sides along a cycle, read in the embedding normalized
-    by the local changes at ``flips`` (whose rotations are reversed).
-
-    At the i-th cycle vertex the ends strictly between the incoming and
-    the outgoing cycle edge in rotation order are on the left; the rest
-    are on the right.  ``(v, w) -> side`` for every non-cycle end (v on
-    C, w the neighbor)."""
-    l = len(cycle)
-    side: dict[tuple[int, int], str] = {}
-    for i, v in enumerate(cycle):
-        prev_v = cycle[(i - 1) % l]
-        next_v = cycle[(i + 1) % l]
-        order = emb.rot[v][::-1] if v in flips else emb.rot[v]
-        k = len(order)
-        start = order.index(prev_v)
-        current = "left"
-        for j in range(1, k):
-            w = order[(start + j) % k]
-            if w == next_v:
-                current = "right"
-            else:
-                side[(v, w)] = current
-    return side
 
 
 def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
@@ -260,97 +234,137 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
     """Classify a cycle: sidedness, separating, contractible, disk side.
 
     C is one-sided when its signature product is negative.  Otherwise
-    the local changes that make C positive are found as a vertex set,
-    and each edge end at C is put on the left or the right of C from
-    the rotations (reversed at the flipped vertices).  A union-find
-    joins the off-cycle vertices and the "left"/"right" end nodes along
-    every edge not on C; C separates exactly when the two end nodes stay
-    apart.  A side s with ends has Euler genus
+    the local changes that make C positive are found as a vertex set.
+    One walk along C reads the side of every edge end at C from the
+    rotations, stepping backward at the flipped vertices, and from each
+    end that leaves C a stack search labels that end's component of
+    G - V(C) with the end's side.  C separates unless a component is
+    reached from both sides or a chord has one end on each.  A side s
+    with ends has Euler genus
 
         2 - (l + V_s) + (l + E_s) - (1 + F_s),
 
     the Euler characteristic of the capped cut piece: l copies of C's
     vertices and edges, the V_s vertices and E_s edges off C on that
     side, and the F_s faces of the embedding whose first dart off C lies
-    on that side, plus the cap.  A side with no ends is a disk.  C is
-    contractible when it separates and one side has genus 0.  For a
-    contractible cycle in a genus-0 embedding both sides bound disks;
-    the side containing the designated outer face (default: the
-    lexicographically smallest facial walk) is taken as Ext.
+    on that side, plus the cap.  V_s counts the side's vertices, and
+    E_s is half the side's degree sum plus its ends at C, plus its
+    chords.  A side with no ends is a disk.  C is contractible when it
+    separates and one side has genus 0.  For a contractible cycle in a
+    genus-0 embedding both sides bound disks; the side containing the
+    designated outer face (default: the lexicographically smallest
+    facial walk) is taken as Ext.
 
     No embedding is built: the analysis' ``normalized`` embedding and
     ``cut`` are made on first use.
     """
     if emb.graph != graph:
         raise TopologyError("classify_cycle: embedding is for a different graph")
-    cyc = check_cycle(graph, cycle)
-    if emb._signature_of(cyc) < 0:
-        cls = CycleClassification("one-sided", False, False, "none")
-        flips = _normalizing_flips(emb, cyc, leave_negative_last=True)
-        return CycleAnalysis(graph, emb, cyc, cls, _end_sides(emb, cyc, flips), flips)
-
-    flips = _normalizing_flips(emb, cyc)
-    end_side = _end_sides(emb, cyc, flips)
+    cyc, keys = cycle_edge_keys(graph, cycle)
+    edges = frozenset(keys)
+    sig = emb.sig
+    one_sided = len([e for e in keys if sig[e] < 0]) % 2 == 1
+    flips = _normalizing_flips(emb, cyc, one_sided, keys)
     cset = set(cyc)
-    cyc_edges = set(_cycle_edges(cyc))
-    parent: dict = {v: v for v in graph.vertices if v not in cset}
-    parent["left"] = "left"
-    parent["right"] = "right"
+    adj = graph._adj
+    rot = emb.rot
+    end_side: dict[tuple[int, int], str] = {}
+    # off-C vertex -> side of its component of G - V(C)
+    roots: dict = {}
+    # [vertices, degree sum plus ends at C, chords] on each side
+    count = {"left": [0, 0, 0], "right": [0, 0, 0]}
+    separating = not one_sided
+    for prev_v, v, next_v in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
+        # the ends strictly after the incoming cycle edge and before the
+        # outgoing one, in rotation order read backward at flipped
+        # vertices, are on the left; the rest are on the right
+        order = rot[v]
+        k = len(order)
+        j = order.index(prev_v)
+        side = "left"
+        for t in range(j - 1, j - k, -1) if v in flips else range(j + 1 - k, j):
+            w = order[t]
+            if w == next_v:
+                side = "right"
+                continue
+            end_side[(v, w)] = side
+            if one_sided:
+                continue
+            if w in cset:
+                other = end_side.get((w, v))
+                if other is not None:
+                    if other == side:
+                        count[side][2] += 1
+                    else:
+                        separating = False
+                continue
+            got = roots.get(w)
+            if got is None:
+                side_count = count[side]
+                roots[w] = side
+                stack = [w]
+                while stack:
+                    u = stack.pop()
+                    side_count[0] += 1
+                    side_count[1] += len(adj[u])
+                    for x in adj[u]:
+                        if x not in cset and x not in roots:
+                            roots[x] = side
+                            stack.append(x)
+            elif got != side:
+                separating = False
+            count[side][1] += 1
+    if one_sided:
+        cls = CycleClassification("one-sided", False, False, "none")
+        return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, edges)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in graph.edges:
-        if (u, v) not in cyc_edges:
-            a = find(_end_node(cset, end_side, u, v))
-            b = find(_end_node(cset, end_side, v, u))
-            if a != b:
-                parent[a] = b
-    roots = {x: find(x) for x in parent}
-    left, right = roots["left"], roots["right"]
-    separating = left != right
+    if not separating:
+        roots = dict.fromkeys(roots, "left")
+    if len(roots) + len(cyc) < graph.n:
+        # components of G - V(C) that C does not touch, labelled by a vertex
+        for v in graph.vertices:
+            if v not in cset and v not in roots:
+                roots[v] = v
+                stack = [v]
+                while stack:
+                    for x in adj[stack.pop()]:
+                        if x not in roots:
+                            roots[x] = v
+                            stack.append(x)
+    roots["left"] = "left"
+    roots["right"] = "right" if separating else "left"
 
     left_genus = right_genus = None
     contractible = False
     disk_side = "none"
     if separating:
         faces = emb.faces()
-        # [vertices, edges, faces] off C on each side
-        count = {left: [0, 0, 0], right: [0, 0, 0]}
-        for v in graph.vertices:
-            if v not in cset and roots[v] in count:
-                count[roots[v]][0] += 1
-        for u, v in graph.edges:
-            if (u, v) not in cyc_edges:
-                r = roots[_end_node(cset, end_side, u, v)]
-                if r in count:
-                    count[r][1] += 1
+        nfaces = {"left": 0, "right": 0}
         for f in faces:
-            r = _face_root(f, cset, cyc_edges, end_side, roots)
-            if r in count:
-                count[r][2] += 1
-        left_genus, right_genus = (0 if e == 0 else 1 - n + e - f
-                                   for n, e, f in (count[left], count[right]))
+            r = _face_root(f, cset, edges, end_side, roots)
+            if r in nfaces:
+                nfaces[r] += 1
+        n_edges = {s: c[1] // 2 + c[2] for s, c in count.items()}
+        left_genus, right_genus = (0 if n_edges[s] == 0
+                                   else 1 - count[s][0] + n_edges[s] - nfaces[s]
+                                   for s in ("left", "right"))
         contractible = left_genus == 0 or right_genus == 0
         if contractible:
             if left_genus == 0 and right_genus == 0:
                 # sphere: Ext is the side holding the outer face
                 key = outer_face.key if outer_face is not None else faces[0].key
                 outer = next((f for f in faces if f.key == key), None)
-                r = None if outer is None else _face_root(outer, cset, cyc_edges,
+                r = None if outer is None else _face_root(outer, cset, edges,
                                                           end_side, roots)
                 if outer is not None and r is None:
                     # made of C's edges: on a side with no ends
-                    r = left if count[left][1] == 0 else right
+                    r = "left" if n_edges["left"] == 0 else "right"
                 # Int defaults left when the outer face is on neither side
-                disk_side = "right" if r == left else "left"
+                disk_side = "right" if r == "left" else "left"
             else:
                 disk_side = "left" if left_genus == 0 else "right"
     cls = CycleClassification("two-sided", separating, contractible, disk_side)
-    return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, roots,
+    return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, edges, roots,
                          left_genus, right_genus)
 
 
@@ -498,12 +512,24 @@ def _intersection_components(cyc: tuple[int, ...], vertices: AbstractSet[int],
                              ) -> list[tuple[frozenset[int], set[Edge]]]:
     """Components of the intersection of a cycle with the subgraph
     (vertices, edges), such as a second cycle or a face, each as
-    (vertex set, edge set)."""
-    shared_v = vertices & set(cyc)
-    shared_e = edges & set(_cycle_edges(cyc))
-    sub = Graph.build(shared_v, shared_e)
-    return [(comp, {e for e in shared_e if e[0] in comp and e[1] in comp})
-            for comp in sub.components()]
+    (vertex set, edge set), by least vertex.  They are the runs of
+    consecutive shared vertices of C joined by shared edges, found in
+    one walk along C from a vertex whose incoming edge is not shared."""
+    l = len(cyc)
+    keys = _cycle_edges(cyc)
+    shared = [e in edges for e in keys]
+    if all(shared):
+        return [(frozenset(cyc), set(keys))]
+    start = shared.index(False) + 1
+    runs: list[tuple[set[int], set[Edge]]] = []
+    for j in range(start, start + l):
+        i = j % l
+        if shared[i - 1]:
+            runs[-1][0].add(cyc[i])
+            runs[-1][1].add(keys[i - 1])
+        elif cyc[i] in vertices:
+            runs.append(({cyc[i]}, set()))
+    return sorted(((frozenset(vs), es) for vs, es in runs), key=lambda run: min(run[0]))
 
 
 def _as_path_sequence(vertices: frozenset[int], edges: set[Edge]) -> list[int] | None:

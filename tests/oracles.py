@@ -4,8 +4,9 @@ Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
 no pruning and no symmetry reduction, treewidth is minimized over all
-elimination orderings or by the recurrence over all vertex subsets, and
-isomorphism classes are settled pair by pair with networkx VF2.
+elimination orderings or by the recurrence over all vertex subsets,
+isomorphism classes are settled pair by pair with networkx VF2, and a
+cycle's sides are found by a union-find over every edge off it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from functools import lru_cache
 import networkx as nx
 
 from surface_minors.graph import Graph, edge_key
+from surface_minors.embedding import Embedding, FaceWalk, check_cycle
+from surface_minors.topology import (CycleAnalysis, CycleClassification,
+                                     TopologyError)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +298,104 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
                     out.append(cand)
         levels.append(out)
     return tuple(g for level in levels for g in level)
+
+
+# ---------------------------------------------------------------------------
+# Cycle classification by union-find
+# ---------------------------------------------------------------------------
+
+
+def union_find_classify(graph: Graph, emb: Embedding, cycle,
+                        outer_face: FaceWalk | None = None) -> CycleAnalysis:
+    """``classify_cycle`` by a union-find over every edge off C.
+
+    The end sides are read from copies of the rotations, reversed at the
+    flipped vertices.  The union-find joins the off-cycle vertices and a
+    "left" and a "right" end node along every edge not on C; C separates
+    exactly when the two end nodes stay apart, and each side's vertices,
+    edges and faces are counted by their roots."""
+    if emb.graph != graph:
+        raise TopologyError("classify_cycle: embedding is for a different graph")
+    cyc = check_cycle(graph, cycle)
+    l = len(cyc)
+    ring = [edge_key(cyc[i], cyc[(i + 1) % l]) for i in range(l)]
+    cyc_edges = frozenset(ring)
+    negative = [emb.sig[e] < 0 for e in ring]
+    one_sided = sum(negative) % 2 == 1
+    flips = frozenset(cyc[i] for i in range(1, l) if sum(negative[:i]) % 2)
+    side: dict[tuple[int, int], str] = {}
+    for i, v in enumerate(cyc):
+        order = emb.rot[v][::-1] if v in flips else emb.rot[v]
+        start = order.index(cyc[i - 1])
+        current = "left"
+        for w in order[start + 1:] + order[:start]:
+            if w == cyc[(i + 1) % l]:
+                current = "right"
+            else:
+                side[(v, w)] = current
+    if one_sided:
+        cls = CycleClassification("one-sided", False, False, "none")
+        return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges)
+
+    cset = set(cyc)
+    parent: dict = {v: v for v in graph.vertices if v not in cset}
+    parent["left"] = "left"
+    parent["right"] = "right"
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def node(u, v):
+        return side[(u, v)] if u in cset else u
+
+    def face_root(face):
+        for a, b in face.darts:
+            if edge_key(a, b) not in cyc_edges:
+                return find(node(a, b))
+        return None
+
+    for u, v in graph.edges:
+        if (u, v) not in cyc_edges:
+            a, b = find(node(u, v)), find(node(v, u))
+            if a != b:
+                parent[a] = b
+    roots = {x: find(x) for x in parent}
+    left, right = roots["left"], roots["right"]
+    separating = left != right
+    left_genus = right_genus = None
+    contractible = False
+    disk_side = "none"
+    if separating:
+        faces = emb.faces()
+        count = {left: [0, 0, 0], right: [0, 0, 0]}
+        for v in graph.vertices:
+            if v not in cset and roots[v] in count:
+                count[roots[v]][0] += 1
+        for u, v in graph.edges:
+            if (u, v) not in cyc_edges and roots[node(u, v)] in count:
+                count[roots[node(u, v)]][1] += 1
+        for f in faces:
+            if face_root(f) in count:
+                count[face_root(f)][2] += 1
+        left_genus, right_genus = (0 if e == 0 else 1 - n + e - f
+                                   for n, e, f in (count[left], count[right]))
+        contractible = left_genus == 0 or right_genus == 0
+        if contractible:
+            if left_genus == 0 and right_genus == 0:
+                key = outer_face.key if outer_face is not None else faces[0].key
+                outer = next((f for f in faces if f.key == key), None)
+                r = None if outer is None else face_root(outer)
+                if outer is not None and r is None:
+                    r = left if count[left][1] == 0 else right
+                disk_side = "right" if r == left else "left"
+            else:
+                disk_side = "left" if left_genus == 0 else "right"
+    cls = CycleClassification("two-sided", separating, contractible, disk_side)
+    return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges, roots,
+                         left_genus, right_genus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Every module-level import in the package and its tests is used by its
-module.
+module, and importing the package leaves networkx and mpmath unloaded.
 
 No linter ships with the toolchain, so this is the check: each
 ``src/surface_minors/*.py`` and ``tests/*.py`` except ``__init__.py``
@@ -10,6 +10,9 @@ count as read.  ``__future__`` imports are ignored.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,16 @@ def test_checker_flags_an_unused_import():
     read = _read_names(tree)
     unused = {n for n in _imported_names(tree) if n not in read}
     assert unused == {"system", "Mapping"}
+
+
+def test_package_import_loads_neither_networkx_nor_mpmath():
+    # both are imported where they are used, so a command-line call that
+    # never reaches them does not pay for loading them
+    script = ("import sys, surface_minors, surface_minors.cli; "
+              "print(sorted(m for m in ('networkx', 'mpmath') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

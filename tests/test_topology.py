@@ -10,12 +10,13 @@ import pytest
 
 from surface_minors.graph import Graph, edge_key
 from surface_minors.embedding import Embedding, FaceWalk, default_embedding, random_embedding
-from surface_minors.topology import (TopologyError, are_homotopic, classify_cycle, cut_along,
-                                     total_genus)
+from surface_minors.topology import (TopologyError, _intersection_components, are_homotopic,
+                                     classify_cycle, cut_along, total_genus)
 from surface_minors.structure import enumerate_cycles
-from conftest import (complete, complete_bipartite, cycle_graph, planar_embedding,
-                      torus_grid, wheel)
-from oracles import all_rotation_signatures, connected_graphs_up_to, torus_winding
+from conftest import (complete, complete_bipartite, cycle_graph, grid, petersen,
+                      planar_embedding, rotations_from_positions, torus_grid, wheel)
+from oracles import (all_rotation_signatures, connected_graphs_up_to, torus_winding,
+                     union_find_classify)
 
 
 def all_embeddings(g: Graph):
@@ -212,6 +213,101 @@ def test_classify_torus_grid_against_winding_numbers():
             assert (an.left_genus if c.disk_side == "left" else an.right_genus) == 0
             contractible += 1
     assert 0 < contractible < len(cycles)
+
+
+def _partition(roots: dict) -> set[frozenset]:
+    groups: dict = {}
+    for x, r in roots.items():
+        groups.setdefault(r, set()).add(x)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _grid_embedding(rows: int, cols: int) -> Embedding:
+    g = grid(rows, cols)
+    pos = {v: divmod(v, cols) for v in g.vertices}
+    return Embedding.build(g, rotations_from_positions(g, pos))
+
+
+def test_classify_cycle_matches_union_find_oracle():
+    # field for field against the union-find classifier: every cycle of
+    # the 4x4 torus grid; every cycle of planar grids, both ways round,
+    # with and without the outer face named; random signed embeddings
+    # (one-sided cycles, chords, nonseparating cycles); and a cut graph
+    # with a component the cycle does not touch
+    rng = random.Random(13)
+    g44, e44 = torus_grid(4, 4)
+    cases = [(g44, e44, c, None) for c in enumerate_cycles(g44)[0]]
+    assert len(cases) == 14_704
+    for rows, cols in ((3, 3), (3, 5), (4, 4)):
+        emb = _grid_embedding(rows, cols)
+        outer = max(emb.faces(), key=lambda f: f.size)
+        for c in enumerate_cycles(emb.graph)[0]:
+            for cyc in (c, c[::-1]):
+                cases += [(emb.graph, emb, cyc, None), (emb.graph, emb, cyc, outer)]
+    for g in (complete(4), complete(5), complete_bipartite(3, 3), complete(6), petersen()):
+        cycles = enumerate_cycles(g)[0]
+        for _ in range(3):
+            emb = random_embedding(g, rng)
+            cases += [(g, emb, c, None) for c in cycles]
+    g33, e33 = torus_grid(3, 3)
+    cut = cut_along(g33, e33, [0, 1, 4, 3])
+    cases += [(cut.graph, cut.embedding, c, None) for c in enumerate_cycles(cut.graph)[0]]
+
+    kinds = set()
+    for g, emb, cyc, outer in cases:
+        got = classify_cycle(g, emb, cyc, outer_face=outer)
+        want = union_find_classify(g, emb, cyc, outer_face=outer)
+        assert (got.cycle, got.classification, got.end_side, got.flips, got.edges,
+                got.left_genus, got.right_genus) == \
+            (want.cycle, want.classification, want.end_side, want.flips, want.edges,
+             want.left_genus, want.right_genus), cyc
+        assert (got.roots is None) == (want.roots is None)
+        if got.roots is not None:
+            assert _partition(got.roots) == _partition(want.roots), cyc
+        c = got.classification
+        kinds.add((c.sidedness, c.separating, c.contractible))
+        if any(w in got.cycle for v, w in got.end_side):
+            kinds.add("chord")
+        if got.roots is not None and len(set(got.roots.values())) > 2:
+            kinds.add("untouched component")
+    assert kinds == {("one-sided", False, False), ("two-sided", False, False),
+                     ("two-sided", True, False), ("two-sided", True, True),
+                     "chord", "untouched component"}
+
+
+def test_classify_cycle_errors_match_union_find_oracle():
+    k4 = complete(4)
+    bad = [(complete(5), K4_PLANAR, [0, 1, 2]),     # embedding of another graph
+           (k4, K4_PLANAR, [0, 1, 5]),              # missing edge
+           (k4, K4_PLANAR, [0, 1, 2, 1]),           # repeated vertex
+           (k4, K4_PLANAR, [0, 1]),                 # shorter than 3
+           (k4, K4_PLANAR, [0, 1, 0])]              # closed, shorter than 3
+    for g, emb, cyc in bad:
+        errors = []
+        for classify in (classify_cycle, union_find_classify):
+            with pytest.raises(ValueError) as info:
+                classify(g, emb, cyc)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], cyc
+
+
+def test_intersection_components_match_graph_components():
+    # the runs found along C against the components of the intersection
+    # graph, for every ordered pair of cycles of K5 and every cycle
+    # against every face of a planar grid
+    k5 = complete(5)
+    cycles = enumerate_cycles(k5)[0]
+    pairs = [(c, set(d), {edge_key(a, b) for a, b in zip(d, d[1:] + d[:1])})
+             for c in cycles for d in cycles]
+    emb = _grid_embedding(3, 4)
+    pairs += [(c, f.vertex_set, f.edge_set)
+              for c in enumerate_cycles(emb.graph)[0] for f in emb.faces()]
+    for cyc, vertices, edges in pairs:
+        shared_v = vertices & set(cyc)
+        shared_e = edges & {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        want = [(comp, {e for e in shared_e if e[0] in comp})
+                for comp in Graph.build(shared_v, shared_e).components()]
+        assert _intersection_components(cyc, vertices, edges) == want, (cyc, vertices)
 
 
 def test_topology_checks_survive_optimize():
