@@ -14,7 +14,7 @@ import sys
 
 from .graph import Graph, GraphError, graph6_decode, graph_to_json, parse_graph
 from .embedding import Embedding, EmbeddingError, default_embedding
-from .genus_search import Surface, default_budget, embeddable_in, min_euler_genus
+from .genus_search import DEFAULT_BUDGET, Surface, embeddable_in, min_euler_genus
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 
@@ -152,7 +152,7 @@ def cmd_chain(args) -> int:
     from .structure import longest_well_nested_chain
     g = _load_graph(args)
     emb = _load_embedding(args, g)
-    res = longest_well_nested_chain(g, emb, budget=args.budget or 100_000)
+    res = longest_well_nested_chain(g, emb, budget=args.budget)
     obj = {"length": len(res.cycles),
            "cycles": [list(c) for c in res.cycles],
            "discipline": res.discipline,
@@ -249,12 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "certification, and balanced tree-decomposition separators.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, embedding=False):
+    def common(p, embedding=False, search=False):
         p.add_argument("--graph6", help="graph as a graph6 string")
         p.add_argument("--json-graph", help="file with JSON {n, edges} or graph6")
-        p.add_argument("--budget", type=int, default=None,
-                       help="search budget (default: SURFACE_MINORS_BUDGET or "
-                            f"{default_budget()})")
+        if search:
+            p.add_argument("--budget", type=int, default=None,
+                           help="search budget (default: SURFACE_MINORS_BUDGET or "
+                                f"{DEFAULT_BUDGET})")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if embedding:
             p.add_argument("--embedding", help="embedding JSON file "
@@ -265,18 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_faces)
 
     p = sub.add_parser("genus", help="exact minimum Euler genus")
-    common(p)
+    common(p, search=True)
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(fn=cmd_genus)
 
     p = sub.add_parser("embeddable", help="embeddability in a surface")
-    common(p)
+    common(p, search=True)
     p.add_argument("--surface", required=True, help="<genus>:orientable|nonorientable")
     p.add_argument("--witnesses", action="store_true")
     p.set_defaults(fn=cmd_embeddable)
 
     p = sub.add_parser("certify", help="certify a minimal excluded minor")
-    common(p)
+    common(p, search=True)
     p.add_argument("--surface", required=True)
     p.add_argument("--out", help="write the certificate JSON to a file")
     p.set_defaults(fn=cmd_certify)
@@ -294,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="longest well-nested chain")
     common(p, embedding=True)
+    p.add_argument("--budget", type=int, default=100_000,
+                   help="most cycles enumerated (default: %(default)s)")
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("radius", help="face-layer radius inside a cycle")
@@ -328,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # the parser reads SURFACE_MINORS_BUDGET for its help text
+        # a search reading a malformed SURFACE_MINORS_BUDGET raises a
+        # BudgetError, which is a ValueError
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (GraphError, EmbeddingError, ValueError, OSError) as exc:

@@ -3,18 +3,24 @@
 Simple-cycle enumeration, nesting of contractible cycles, the longest
 chain of well-nested contractible cycles, and the face-layer radius of
 a contractible region.
+
+A chain keeps one discipline: its nested pairs are all free, or all
+pinched on the same pieces.  So the longest chain is the longest of
+the longest paths in the nesting DAG, one per discipline, each found
+by a memoized longest-path DP.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Edge, Graph
 from .embedding import Embedding, FaceWalk
-from .topology import (CycleAnalysis, classify_cycle, _as_path_sequence,
-                       _cycle_edges, _intersection_components)
+from .topology import (CycleAnalysis, classify_cycle, _cycle_edges,
+                       _intersection_components)
 
 
 class StructureError(ValueError):
@@ -73,6 +79,12 @@ class WellNestedKind:
         tag = "pinched-one" if len(pieces) == 1 else "pinched-two"
         return WellNestedKind(tag, tuple(pieces))
 
+    @property
+    def key(self) -> tuple:
+        """The discipline: the tag and each piece as a vertex id or a
+        face key.  Pairs of one chain share it."""
+        return (self.tag,) + tuple(p if isinstance(p, int) else p.key for p in self.pieces)
+
     def piece_names(self) -> tuple[str, ...]:
         out = []
         for p in self.pieces:
@@ -84,12 +96,11 @@ class WellNestedKind:
 
 
 def is_nested(graph: Graph, emb: Embedding, inner: Sequence[int],
-              outer: Sequence[int], outer_face: FaceWalk | None = None,
-              cache: dict | None = None) -> bool:
+              outer: Sequence[int], outer_face: FaceWalk | None = None) -> bool:
     """Whether ``inner`` lies in Int(outer): both contractible and the
     inner cycle's vertices and edges inside the outer one."""
-    return _nested(_classified(graph, emb, inner, outer_face, cache),
-                   _classified(graph, emb, outer, outer_face, cache))
+    return _nested(classify_cycle(graph, emb, inner, outer_face=outer_face),
+                   classify_cycle(graph, emb, outer, outer_face=outer_face))
 
 
 def _nested(ain: CycleAnalysis, aout: CycleAnalysis) -> bool:
@@ -99,42 +110,24 @@ def _nested(ain: CycleAnalysis, aout: CycleAnalysis) -> bool:
     return aout.int_vertices.issuperset(ain.cycle) and ain.edges <= aout.int_edges
 
 
-def _classified(graph: Graph, emb: Embedding, cycle: Sequence[int],
-                outer_face: FaceWalk | None, cache: dict | None) -> CycleAnalysis:
-    """``classify_cycle`` through the cache, keyed by the canonical cycle.
-    A hit is a rotation or reversal of a cycle validated when it was
-    stored, so only a miss validates."""
-    if cache is None:
-        return classify_cycle(graph, emb, cycle, outer_face=outer_face)
-    face = None if outer_face is None else outer_face.key
-    cyc = tuple(cycle)
-    hit = cache.get((_canonical_cycle(cyc), face)) if len(cyc) >= 3 else None
-    if hit is not None:
-        return hit
-    res = classify_cycle(graph, emb, cyc, outer_face=outer_face)
-    cache[(_canonical_cycle(res.cycle), face)] = res
-    return res
-
-
 def _face_certifies(face: FaceWalk, c_outer: tuple[int, ...], c_inner: tuple[int, ...],
-                    shared: tuple[frozenset[int], set[Edge]]) -> bool:
+                    shared: tuple[tuple[int, ...], set[Edge]]) -> bool:
     """The face-pinch condition: the outer cycle meets the face in one
     path of at least three edges, and the inner cycle meets it in exactly
     the shared piece, strictly interior to that path."""
     comps_outer = _intersection_components(c_outer, face.vertex_set, face.edge_set)
     if len(comps_outer) != 1:
         return False
-    p = _as_path_sequence(*comps_outer[0])
-    if p is None or len(p) < 4:  # at least 3 edges
+    path, path_edges = comps_outer[0]
+    if len(path_edges) == len(path) or len(path) < 4:  # a path of at least 3 edges
         return False
     comps_inner = _intersection_components(c_inner, face.vertex_set, face.edge_set)
     if len(comps_inner) != 1:
         return False
     q_verts, q_edges = comps_inner[0]
-    if (q_verts, q_edges) != shared:
+    if q_edges != shared[1] or set(q_verts) != set(shared[0]):
         return False
-    interior = set(p[1:-1])
-    return q_verts <= interior
+    return set(q_verts) <= set(path[1:-1])
 
 
 def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
@@ -156,14 +149,14 @@ def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
     pieces = []
     for comp in comps:
         verts, edges = comp
-        if len(verts) == 1 and not edges:
-            pieces.append(next(iter(verts)))
+        if not edges:
+            pieces.append(verts[0])
             continue
-        if _as_path_sequence(*comp) is None:
+        if len(edges) == len(verts):  # all of c_out, not a path
             return None
         cert = None
         for face in emb.faces():
-            if verts <= face.vertex_set and edges <= face.edge_set \
+            if face.vertex_set.issuperset(verts) and edges <= face.edge_set \
                     and _face_certifies(face, c_out, c_in, comp):
                 cert = face
                 break
@@ -180,29 +173,6 @@ def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
 
 def _piece_sort_key(p):
     return (0, p, ()) if isinstance(p, int) else (1, -1, p.key)
-
-
-def _same_piece(a, b) -> bool:
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, FaceWalk) and isinstance(b, FaceWalk):
-        return a.key == b.key
-    return False
-
-
-def _kinds_uniform(kinds: list[WellNestedKind]) -> bool:
-    """A chain discipline: all free, all pinched on one common piece, or
-    all pinched on two common pieces."""
-    if all(k.tag == "free" for k in kinds):
-        return True
-    if all(k.tag == "pinched-one" for k in kinds):
-        first = kinds[0].pieces[0]
-        return all(_same_piece(k.pieces[0], first) for k in kinds)
-    if all(k.tag == "pinched-two" for k in kinds):
-        first = kinds[0].pieces
-        return all(_same_piece(k.pieces[0], first[0]) and _same_piece(k.pieces[1], first[1])
-                   for k in kinds)
-    return False
 
 
 @dataclass(frozen=True)
@@ -224,41 +194,36 @@ def longest_well_nested_chain(graph: Graph, emb: Embedding,
                 if (a := classify_cycle(graph, emb, c, outer_face=outer_face)).is_contractible]
     contractible = [c for c, _ in analyses]
     n = len(contractible)
-    nested_in: dict[tuple[int, int], WellNestedKind | None] = {}
+    # (inner, outer) -> kind, and (discipline, inner) -> outers in increasing order
+    nested_in: dict[tuple[int, int], WellNestedKind] = {}
+    succ: dict[tuple[tuple, int], list[int]] = {}
     for i, j in itertools.permutations(range(n), 2):
         if _nested(analyses[i][1], analyses[j][1]):
             kind = _classify_pinches(emb, contractible[j], contractible[i])
             if kind is not None:
                 nested_in[(i, j)] = kind
-    # longest path in the nesting DAG per discipline signature
-    best: tuple[list[int], list[WellNestedKind]] = ([], [])
-    if n:
-        best = ([0], [])
+                succ.setdefault((kind.key, i), []).append(j)
 
-    def extend(chain: list[int], kinds: list[WellNestedKind]):
-        nonlocal best
-        if len(chain) > len(best[0]):
-            best = (list(chain), list(kinds))
-        last = chain[-1]
-        for (i, j), kind in nested_in.items():
-            if i != last:
-                continue
-            if kinds and not _kinds_uniform(kinds + [kind]):
-                continue
-            chain.append(j)
-            kinds.append(kind)
-            extend(chain, kinds)
-            chain.pop()
-            kinds.pop()
+    @functools.cache
+    def height(key: tuple, i: int) -> int:
+        """Cycles in the longest chain of discipline ``key`` from cycle i."""
+        return 1 + max((height(key, j) for j in succ.get((key, i), ())), default=0)
 
-    # chains run inner to outer
-    for start in range(n):
-        extend([start], [])
-    cyc_seq = tuple(contractible[i] for i in best[0])
-    kinds = tuple(best[1])
-    if not kinds:
-        discipline = "free"
-    elif kinds[0].tag == "free":
+    # chains run inner to outer; the lexicographically least index
+    # sequence of the best length is taken, choosing its first pair over
+    # all disciplines before following that pair's discipline
+    chain = list(range(min(n, 1)))
+    if nested_in:
+        length = max(height(kind.key, j) + 1 for (_, j), kind in nested_in.items())
+        chain = list(min(pair for pair, kind in nested_in.items()
+                         if height(kind.key, pair[1]) == length - 1))
+        key = nested_in[chain[0], chain[1]].key
+        while len(chain) < length:
+            chain.append(next(j for j in succ[key, chain[-1]]
+                              if height(key, j) == length - len(chain)))
+    cyc_seq = tuple(contractible[i] for i in chain)
+    kinds = tuple(nested_in[pair] for pair in zip(chain, chain[1:]))
+    if not kinds or kinds[0].tag == "free":
         discipline = "free"
     else:
         discipline = "pinched on " + " and ".join(kinds[0].piece_names())
@@ -282,12 +247,11 @@ class RadiusMap:
 
 
 def radius(graph: Graph, emb: Embedding, cycle: Sequence[int],
-           outer_face: FaceWalk | None = None,
-           cache: dict | None = None) -> RadiusMap:
+           outer_face: FaceWalk | None = None) -> RadiusMap:
     """BFS layering of the faces inside a contractible cycle: layer 1
     touches the cycle, layer i+1 touches layer i.  A cycle bounding a
     disk (empty interior) has radius 0."""
-    ana = _classified(graph, emb, cycle, outer_face, cache)
+    ana = classify_cycle(graph, emb, cycle, outer_face=outer_face)
     if not ana.is_contractible:
         raise StructureError("radius: cycle is not contractible")
     faces = list(ana.faces_inside())

@@ -478,13 +478,12 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
         raise TopologyError("are_homotopic: both cycles must be two-sided")
     if set(cyc1) == set(cyc2) and set(_cycle_edges(cyc1)) == set(_cycle_edges(cyc2)):
         raise TopologyError("are_homotopic: the cycles coincide")
+    # the cycles differ, so no shared run is all of C1: each is a path
     shared = _intersection_components(cyc1, set(cyc2), set(_cycle_edges(cyc2)))
     if len(shared) > 1:
         raise TopologyError(
             f"are_homotopic: cycles share {len(shared)} separate pieces "
             f"({sorted(sorted(c) for c, _ in shared)}); allowed is one path")
-    if shared and _as_path_sequence(*shared[0]) is None:
-        raise TopologyError("are_homotopic: shared intersection is not a path")
 
     analysis1 = classify_cycle(graph, emb, cyc1)
     cut1 = analysis1.cut
@@ -509,56 +508,29 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
 
 def _intersection_components(cyc: tuple[int, ...], vertices: AbstractSet[int],
                              edges: AbstractSet[Edge]
-                             ) -> list[tuple[frozenset[int], set[Edge]]]:
+                             ) -> list[tuple[tuple[int, ...], set[Edge]]]:
     """Components of the intersection of a cycle with the subgraph
-    (vertices, edges), such as a second cycle or a face, each as
-    (vertex set, edge set), by least vertex.  They are the runs of
-    consecutive shared vertices of C joined by shared edges, found in
-    one walk along C from a vertex whose incoming edge is not shared."""
+    (vertices, edges), such as a second cycle or a face, each as (its
+    vertices in their order along C, its edge set), by least vertex.
+    They are the runs of consecutive shared vertices of C joined by
+    shared edges, found in one walk along C from a vertex whose incoming
+    edge is not shared.  So each run is a path, unless it is all of C
+    (as many edges as vertices)."""
     l = len(cyc)
     keys = _cycle_edges(cyc)
     shared = [e in edges for e in keys]
     if all(shared):
-        return [(frozenset(cyc), set(keys))]
+        return [(cyc, set(keys))]
     start = shared.index(False) + 1
-    runs: list[tuple[set[int], set[Edge]]] = []
+    runs: list[tuple[list[int], set[Edge]]] = []
     for j in range(start, start + l):
         i = j % l
         if shared[i - 1]:
-            runs[-1][0].add(cyc[i])
+            runs[-1][0].append(cyc[i])
             runs[-1][1].add(keys[i - 1])
         elif cyc[i] in vertices:
-            runs.append(({cyc[i]}, set()))
-    return sorted(((frozenset(vs), es) for vs, es in runs), key=lambda run: min(run[0]))
-
-
-def _as_path_sequence(vertices: frozenset[int], edges: set[Edge]) -> list[int] | None:
-    """Order a path component's vertices end to end; None if not a path."""
-    if len(edges) != len(vertices) - 1:
-        return None
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(d > 2 for d in deg.values()):
-        return None
-    if len(vertices) == 1:
-        return [next(iter(vertices))]
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if len(ends) != 2:
-        return None
-    path = [ends[0]]
-    prev = None
-    while path[-1] != ends[1]:
-        nxts = [w for w in adj[path[-1]] if w != prev]
-        if not nxts:
-            return None
-        prev = path[-1]
-        path.append(nxts[0])
-    return path
+            runs.append(([cyc[i]], set()))
+    return sorted(((tuple(vs), es) for vs, es in runs), key=lambda run: min(run[0]))
 
 
 def _count_copies(piece: Graph, cut2: CutResult, cut1: CutResult) -> int:

@@ -5,8 +5,9 @@ package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
 no pruning and no symmetry reduction, treewidth is minimized over all
 elimination orderings or by the recurrence over all vertex subsets,
-isomorphism classes are settled pair by pair with networkx VF2, and a
-cycle's sides are found by a union-find over every edge off it.
+isomorphism classes are settled pair by pair with networkx VF2, a
+cycle's sides are found by a union-find over every edge off it, and the
+longest well-nested chain walks every path of the nesting DAG.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import networkx as nx
 from surface_minors.graph import Graph, edge_key
 from surface_minors.embedding import Embedding, FaceWalk, check_cycle
 from surface_minors.topology import (CycleAnalysis, CycleClassification,
-                                     TopologyError)
+                                     TopologyError, classify_cycle)
+from surface_minors.structure import (ChainResult, WellNestedKind, enumerate_cycles,
+                                      _classify_pinches, _nested)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +399,69 @@ def union_find_classify(graph: Graph, emb: Embedding, cycle,
     cls = CycleClassification("two-sided", separating, contractible, disk_side)
     return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges, roots,
                          left_genus, right_genus)
+
+
+# ---------------------------------------------------------------------------
+# Longest well-nested chain by exhaustive search
+# ---------------------------------------------------------------------------
+
+
+def _pieces_agree(a, b) -> bool:
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    if isinstance(a, FaceWalk) and isinstance(b, FaceWalk):
+        return a.key == b.key
+    return False
+
+
+def _one_discipline(kinds: list[WellNestedKind]) -> bool:
+    """All free, all pinched on one common piece, or all pinched on two
+    common pieces."""
+    if all(k.tag == "free" for k in kinds):
+        return True
+    if all(k.tag == "pinched-one" for k in kinds):
+        return all(_pieces_agree(k.pieces[0], kinds[0].pieces[0]) for k in kinds)
+    if all(k.tag == "pinched-two" for k in kinds):
+        first = kinds[0].pieces
+        return all(_pieces_agree(k.pieces[0], first[0]) and _pieces_agree(k.pieces[1], first[1])
+                   for k in kinds)
+    return False
+
+
+def exhaustive_chain(graph: Graph, emb: Embedding, budget: int = 100_000,
+                     outer_face: FaceWalk | None = None) -> ChainResult:
+    """``longest_well_nested_chain`` by a depth-first walk of every path
+    of the nesting DAG, from each start in turn, taking successors in
+    index order and extending a chain only while its kinds stay uniform.
+    The first longest chain found is kept: the lexicographically least
+    index sequence of the best length.  The nested pairs and their kinds
+    are read as the package reads them."""
+    cycles, exact = enumerate_cycles(graph, budget)
+    analyses = [(c, a) for c in cycles
+                if (a := classify_cycle(graph, emb, c, outer_face=outer_face)).is_contractible]
+    n = len(analyses)
+    nested_in = {}
+    for i, j in itertools.permutations(range(n), 2):
+        if _nested(analyses[i][1], analyses[j][1]):
+            kind = _classify_pinches(emb, analyses[j][0], analyses[i][0])
+            if kind is not None:
+                nested_in[(i, j)] = kind
+    best = ([0], []) if n else ([], [])
+
+    def extend(chain, kinds):
+        nonlocal best
+        if len(chain) > len(best[0]):
+            best = (list(chain), list(kinds))
+        for (i, j), kind in nested_in.items():
+            if i == chain[-1] and _one_discipline(kinds + [kind]):
+                extend(chain + [j], kinds + [kind])
+
+    for start in range(n):
+        extend([start], [])
+    kinds = tuple(best[1])
+    discipline = "free" if not kinds or kinds[0].tag == "free" else \
+        "pinched on " + " and ".join(kinds[0].piece_names())
+    return ChainResult(tuple(analyses[i][0] for i in best[0]), kinds, discipline, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,37 @@ def test_malformed_budget_env_is_a_cli_error(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["faces", "--graph6", "D~{", "--json"],
+                                  ["bounds", "--g", "1", "--json"]],
+                         ids=["faces", "bounds"])
+def test_malformed_budget_env_spares_commands_that_do_not_search(monkeypatch, capsys, argv):
+    monkeypatch.setenv("SURFACE_MINORS_BUDGET", "lots")
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [["faces"], ["cut", "--cycle", "0,1,2"],
+                                  ["homotopy", "--cycle", "0,1,2", "--cycle2", "0,1,3"],
+                                  ["radius", "--cycle", "0,1,2"], ["treedecomp"],
+                                  ["separate", "--k", "2"]],
+                         ids=lambda argv: argv[0])
+def test_budget_is_rejected_where_nothing_searches(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--graph6", "D~{", "--budget", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 7" in capsys.readouterr().err
+
+
+def test_chain_budget_bounds_the_cycle_enumeration(tmp_path, capsys):
+    _, args = planar_grid_args(tmp_path, 3, 3)
+    assert main(["chain", "--budget", "3"] + args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exact"] is False and out["length"] == 1
+    with pytest.raises(SystemExit):
+        main(["chain", "--help"])
+    assert "SURFACE_MINORS_BUDGET" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [["genus", "--json-graph"],
                                    ["faces", "--graph6", "D~{", "--embedding"]],
                          ids=["json-graph", "embedding"])

@@ -1,12 +1,17 @@
 """Every module-level import in the package and its tests is used by its
-module, and importing the package leaves networkx and mpmath unloaded.
+module, every private module-level function and class of the package is
+named somewhere, and importing the package leaves networkx and mpmath
+unloaded.
 
 No linter ships with the toolchain, so this is the check: each
 ``src/surface_minors/*.py`` and ``tests/*.py`` except ``__init__.py``
 and ``conftest.py`` (whose imports are re-exports) is parsed with
 ``ast``, and every name a module-level import binds must be read
 somewhere in that module.  Names read only inside string annotations
-count as read.  ``__future__`` imports are ignored.
+count as read.  ``__future__`` imports are ignored.  A ``_``-prefixed
+module-level function or class of the package must be read, imported or
+reached as an attribute somewhere in the package or its tests outside
+its own definition.
 """
 
 import ast
@@ -22,6 +27,7 @@ import surface_minors
 PACKAGE = Path(surface_minors.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "conftest.py")
+EVERY_FILE = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -67,6 +73,30 @@ def _assert_imports_used(path: Path) -> None:
         f"{name} (line {line})" for line, name in unused)
 
 
+def _names(node: ast.AST) -> set[str]:
+    """The names read under ``node``, the attributes it reaches and the
+    names it imports."""
+    names = _read_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unnamed_private_definitions(defining: list[ast.Module],
+                                 every: list[ast.Module]) -> list[str]:
+    """The ``_``-prefixed module-level functions and classes of the
+    ``defining`` modules that no module-level statement of ``every``
+    names, their own definitions aside."""
+    named = [(stmt, _names(stmt)) for tree in every for stmt in tree.body]
+    return [node.name for tree in defining for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(node.name in names for stmt, names in named if stmt is not node)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_imports_are_used(path):
     _assert_imports_used(path)
@@ -86,6 +116,26 @@ def test_checker_flags_an_unused_import():
     read = _read_names(tree)
     unused = {n for n in _imported_names(tree) if n not in read}
     assert unused == {"system", "Mapping"}
+
+
+def test_private_definitions_are_named():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in EVERY_FILE}
+    package = [tree for path, tree in trees.items() if path.parent == PACKAGE]
+    assert _unnamed_private_definitions(package, list(trees.values())) == []
+
+
+def test_checker_flags_an_unnamed_private_definition():
+    module = ast.parse("def _recursive(n):\n"
+                       "    return _recursive(n - 1) if n else 0\n"
+                       "def _called(): pass\n"
+                       "class _Reached: pass\n"
+                       "def _imported(): pass\n"
+                       "def __dunder__(): pass\n"
+                       "def public(): return _called()\n")
+    user = ast.parse("import m\n"
+                     "from m import _imported\n"
+                     "m._Reached\n")
+    assert _unnamed_private_definitions([module], [module, user]) == ["_recursive"]
 
 
 def test_package_import_loads_neither_networkx_nor_mpmath():

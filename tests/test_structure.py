@@ -4,31 +4,84 @@ import pytest
 
 from surface_minors import structure
 from surface_minors.embedding import EmbeddingError
-from surface_minors.structure import (StructureError, enumerate_cycles, is_nested,
-                                      longest_well_nested_chain, radius)
+from surface_minors.structure import (StructureError, _classify_pinches, enumerate_cycles,
+                                      is_nested, longest_well_nested_chain, radius)
 from conftest import grid, planar_embedding, torus_grid, wheel
-from oracles import rectangle_radius
+from oracles import exhaustive_chain, rectangle_radius
 
 
-def test_is_nested_validates_with_and_without_cache():
+def test_is_nested_validates_its_cycles():
     w5 = wheel(5)
     emb = planar_embedding(w5)
     rim_face = next(f for f in emb.faces() if f.size == 5)
     rim, spoke_triangle = [1, 2, 3, 4, 5], [0, 1, 2]
-    for cache in (None, {}):
-        assert is_nested(w5, emb, spoke_triangle, rim, rim_face, cache)
-        # a rotation or reversal of a cached cycle is answered alike
-        assert is_nested(w5, emb, [2, 1, 0], [3, 4, 5, 1, 2], rim_face, cache)
-        assert not is_nested(w5, emb, rim, spoke_triangle, rim_face, cache)
-        # a closed walk naming its start twice is the same cycle
-        assert is_nested(w5, emb, [0, 1, 2, 0], rim, rim_face, cache)
-        # invalid input raises whatever the cache holds; [0, 0, 2, 1] has
-        # the canonical form of the closed walk [0, 1, 2, 0] given above
-        for bad in ([], [1, 3, 0], [0, 0, 2, 1]):
-            with pytest.raises(EmbeddingError):
-                is_nested(w5, emb, bad, rim, rim_face, cache)
-            with pytest.raises(EmbeddingError):
-                is_nested(w5, emb, spoke_triangle, bad, rim_face, cache)
+    assert is_nested(w5, emb, spoke_triangle, rim, rim_face)
+    # a rotation or reversal of a cycle is answered alike
+    assert is_nested(w5, emb, [2, 1, 0], [3, 4, 5, 1, 2], rim_face)
+    assert not is_nested(w5, emb, rim, spoke_triangle, rim_face)
+    # a closed walk naming its start twice is the same cycle
+    assert is_nested(w5, emb, [0, 1, 2, 0], rim, rim_face)
+    # [0, 0, 2, 1] has the canonical form of the closed walk [0, 1, 2, 0]
+    for bad in ([], [1, 3, 0], [0, 0, 2, 1]):
+        with pytest.raises(EmbeddingError):
+            is_nested(w5, emb, bad, rim, rim_face)
+        with pytest.raises(EmbeddingError):
+            is_nested(w5, emb, spoke_triangle, bad, rim_face)
+
+
+def _pieces(kind):
+    """A kind as its tag and its pieces, each a vertex id or a face's
+    vertex set; None stays None."""
+    if kind is None:
+        return None
+    return kind.tag, tuple(p if isinstance(p, int) else p.vertex_set for p in kind.pieces)
+
+
+def test_classify_pinches_on_hand_checked_pairs():
+    # inner cycle first; the outer cycle is the one the pair is classified in
+    g = grid(3, 4)
+    emb = planar_embedding(g)
+    outer = max(emb.faces(), key=lambda f: f.size).vertex_set
+    square = frozenset({5, 6, 9, 10})
+    cases = [
+        # the shared path 5-4-0-1 lies on no face that certifies it
+        ((0, 1, 5, 4), (0, 1, 2, 6, 5, 4), None),
+        # 4-0-1 is interior to the path 10-9-8-4-0-1-2 on the outer face
+        ((0, 1, 5, 4), (0, 1, 2, 6, 10, 9, 8, 4), ("pinched-one", (outer,))),
+        ((0, 1, 5, 4), (0, 1, 2, 6, 5, 9, 8, 4), ("pinched-two", (5, outer))),
+        # 1-2 on the outer face, and 6-5 inside the path 10-6-5-9 of a square
+        ((1, 2, 6, 5), (0, 1, 2, 3, 7, 11, 10, 6, 5, 9, 8, 4),
+         ("pinched-two", (outer, square))),
+    ]
+    g4 = grid(4, 4)
+    emb4 = planar_embedding(g4)
+    cases4 = [
+        ((5, 6, 10, 9), (0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4), ("free", ())),
+        ((5, 6, 10, 9), (0, 1, 2, 3, 7, 11, 10, 14, 13, 12, 8, 4), ("pinched-one", (10,))),
+        ((5, 6, 10, 9), (0, 1, 2, 3, 7, 11, 10, 14, 13, 9, 8, 4), ("pinched-two", (9, 10))),
+    ]
+    for graph, embedding, pairs in ((g, emb, cases), (g4, emb4, cases4)):
+        for inner, outer_cycle, want in pairs:
+            assert is_nested(graph, embedding, inner, outer_cycle)
+            assert _pieces(_classify_pinches(embedding, outer_cycle, inner)) == want, inner
+
+
+CHAIN_GRIDS = [("torus", 3, 3), ("torus", 3, 4)] + [
+    ("planar", r, c) for r in range(2, 5) for c in range(r, 5)]
+
+
+@pytest.mark.parametrize("surface,rows,cols", CHAIN_GRIDS,
+                         ids=[f"{s}-{r}x{c}" for s, r, c in CHAIN_GRIDS])
+def test_chain_matches_exhaustive_oracle(surface, rows, cols):
+    if surface == "torus":
+        g, emb = torus_grid(rows, cols)
+    else:
+        g = grid(rows, cols)
+        emb = planar_embedding(g)
+    got, want = longest_well_nested_chain(g, emb), exhaustive_chain(g, emb)
+    assert got.exact and got.cycles == want.cycles
+    assert [k.key for k in got.kinds] == [k.key for k in want.kinds]
+    assert got.discipline == want.discipline
 
 
 def test_chain_classifies_each_cycle_once(monkeypatch):

@@ -293,8 +293,8 @@ def test_classify_cycle_errors_match_union_find_oracle():
 
 def test_intersection_components_match_graph_components():
     # the runs found along C against the components of the intersection
-    # graph, for every ordered pair of cycles of K5 and every cycle
-    # against every face of a planar grid
+    # graph, and each run's order against C's, for every ordered pair of
+    # cycles of K5 and every cycle against every face of a planar grid
     k5 = complete(5)
     cycles = enumerate_cycles(k5)[0]
     pairs = [(c, set(d), {edge_key(a, b) for a, b in zip(d, d[1:] + d[:1])})
@@ -307,7 +307,18 @@ def test_intersection_components_match_graph_components():
         shared_e = edges & {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
         want = [(comp, {e for e in shared_e if e[0] in comp})
                 for comp in Graph.build(shared_v, shared_e).components()]
-        assert _intersection_components(cyc, vertices, edges) == want, (cyc, vertices)
+        runs = _intersection_components(cyc, vertices, edges)
+        assert [(frozenset(run), es) for run, es in runs] == want, (cyc, vertices)
+        # each run lists its vertices in their order along C: a path
+        # whose edges are its consecutive pairs, unless it is all of C
+        for run, es in runs:
+            steps = {edge_key(a, b) for a, b in zip(run, run[1:])}
+            if len(es) == len(run):
+                assert run == cyc and es == steps | {edge_key(cyc[-1], cyc[0])}
+            else:
+                at = cyc.index(run[0])
+                assert run == tuple(cyc[(at + k) % len(cyc)] for k in range(len(run)))
+                assert es == steps, (cyc, run)
 
 
 def test_topology_checks_survive_optimize():
