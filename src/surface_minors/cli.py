@@ -188,11 +188,15 @@ def cmd_treedecomp(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    from .treedecomp import TreeDecomposition, balanced_separation_sequence, compute_tree_decomposition
+    from .treedecomp import (TreeDecomposition, TreeDecompositionError,
+                             balanced_separation_sequence, compute_tree_decomposition, validate)
     g = _load_graph(args)
     if args.td:
         with open(args.td) as fh:
             td = TreeDecomposition.from_json_obj(json.load(fh))
+        ok, reason = validate(g, td)
+        if not ok:
+            raise TreeDecompositionError(f"--td is not a tree decomposition of the graph: {reason}")
     else:
         td, _ = compute_tree_decomposition(g, mode="heuristic")
     seq = balanced_separation_sequence(g, td, args.k)

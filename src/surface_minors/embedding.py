@@ -349,16 +349,33 @@ class Embedding:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise EmbeddingError(f"embedding json: {exc.msg} at byte {exc.pos}") from None
-        graph_field = obj["graph"]
+        if not isinstance(obj, dict):
+            raise EmbeddingError("embedding json: expected an object with 'graph', "
+                                 "'rotation' and 'signature'")
+        graph_field = obj.get("graph")
+        if not isinstance(graph_field, (str, dict)):
+            raise EmbeddingError("embedding json: 'graph' must be a graph6 string "
+                                 "or a graph object")
+        for field in ("rotation", "signature"):
+            if not isinstance(obj.get(field), dict):
+                raise EmbeddingError(f"embedding json: '{field}' must be an object")
         if isinstance(graph_field, str):
             graph = parse_graph(graph_field)
         else:
             graph = parse_graph(json.dumps(graph_field))
-        rotation = {int(v): [int(x) for x in r] for v, r in obj["rotation"].items()}
+        try:
+            rotation = {int(v): [int(x) for x in r] for v, r in obj["rotation"].items()}
+        except (TypeError, ValueError):
+            raise EmbeddingError("embedding json: 'rotation' must map vertex ids "
+                                 "to lists of vertex ids") from None
         signature = {}
-        for key, s in obj["signature"].items():
-            u, _, v = key.partition("-")
-            signature[(int(u), int(v))] = int(s)
+        try:
+            for key, s in obj["signature"].items():
+                u, _, v = key.partition("-")
+                signature[(int(u), int(v))] = int(s)
+        except (TypeError, ValueError):
+            raise EmbeddingError("embedding json: 'signature' must map 'u-v' edge keys "
+                                 "to +1 or -1") from None
         return Embedding.build(graph, rotation, signature)
 
     def __repr__(self) -> str:  # pragma: no cover

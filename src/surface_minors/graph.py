@@ -319,11 +319,24 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphError("graph json: expected object with 'n' and 'edges'")
     n = obj["n"]
+    if not _is_int(n) or n < 0:
+        raise GraphError("graph json: 'n' must be a nonnegative integer")
     ids = obj.get("vertex_ids", list(range(n)))
+    if not isinstance(ids, list) or not all(map(_is_int, ids)):
+        raise GraphError("graph json: 'vertex_ids' must be a list of integers")
     if len(ids) != n:
         raise GraphError("graph json: vertex_ids length disagrees with n")
-    edges = [(ids[u], ids[v]) for u, v in obj["edges"]]
-    return Graph.build(ids, edges)
+    pairs = obj["edges"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(_is_int(x) and 0 <= x < n for x in p)
+            for p in pairs):
+        raise GraphError("graph json: 'edges' must be a list of [u, v] with 0 <= u, v < n")
+    return Graph.build(ids, [(ids[u], ids[v]) for u, v in pairs])
+
+
+def _is_int(x) -> bool:
+    """Whether a decoded JSON value is an integer (JSON booleans are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_graph(text: str) -> Graph:

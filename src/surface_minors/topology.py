@@ -16,17 +16,22 @@ would give: the side's vertices and edges, plus the faces of the
 embedding lying on that side, plus the cap.  The normalized embedding
 and the cut graph are built only when a caller asks for them
 (``normalized``, ``cut``).
+
+Homotopy takes one cut.  The second cycle C2 is lifted into the cut
+along the first, C1, and classified there.  Each side of the lifted C2
+is then a piece of the surface cut along both cycles, with the genus,
+vertices and edges the classification counts.  The two cycles are
+homotopic when a genus-0 side holds exactly one of the two copies of C1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Sequence
 
 from .graph import Edge, Graph, edge_key
-from .embedding import Embedding, EmbeddingError, FaceWalk, check_cycle, cycle_edge_keys
+from .embedding import Embedding, FaceWalk, check_cycle, cycle_edge_keys
 
 
 class TopologyError(ValueError):
@@ -448,30 +453,20 @@ def total_genus(cut: CutResult) -> int:
 
 def are_homotopic(graph: Graph, emb: Embedding,
                   c1: Sequence[int], c2: Sequence[int]):
-    """Whether two two-sided cycles are homotopic: cutting along both
-    leaves a component containing exactly one copy of each with induced
-    genus 0.  Returns that component as a subgraph of the original graph
+    """Whether two two-sided cycles are homotopic: they bound a cylinder,
+    a genus-0 piece of the surface cut along both that holds exactly one
+    copy of each.  Returns that piece as a subgraph of the original graph
     (Int(C1 u C2)), or None.
 
     The cycles must be disjoint or share a single path (possibly one
-    vertex); the cut of the second cycle follows the side on which it
-    touches the first, so a transversal crossing is rejected.
+    vertex).  Only C1 is cut: C2 is lifted to the cut on the side on
+    which it touches C1, so a transversal crossing is rejected, and
+    classified there.  Each side of the lifted C2 is a piece of the cut
+    along both cycles, with the side's genus, vertices and edges, and it
+    holds a copy of C1 when that copy's edges all lie on the side.  The
+    cylinder is the genus-0 side holding one copy, with the fewest faces;
+    ties go to the piece with the smallest vertex.
     """
-    found = _cylinder(graph, emb, c1, c2)
-    if found is None:
-        return None
-    piece, _, origin = found
-    edges = {edge_key(origin[u], origin[v]) for u, v in piece.edges
-             if origin[u] != origin[v]}
-    return graph.edge_subgraph(edges, extra_vertices=set(origin.values()))
-
-
-def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]):
-    """The double cut behind ``are_homotopic``: cut along C1, then along
-    C2 lifted to that cut, and return the genus-0 component holding
-    exactly one copy of each cycle, with the fewest faces (ties go to the
-    component with the smallest vertex), as (piece, its embedding, map
-    from the piece's vertices to the graph's); None when there is none."""
     cyc1 = check_cycle(graph, c1)
     cyc2 = check_cycle(graph, c2)
     if emb._signature_of(cyc1) < 0 or emb._signature_of(cyc2) < 0:
@@ -490,20 +485,44 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
     lifted = _lift_cycle(cut1, analysis1, cyc2)
     if lifted is None:
         raise TopologyError("are_homotopic: cycles cross transversally")
-    cut2 = classify_cycle(cut1.graph, cut1.embedding, lifted).cut
-
-    best = None
-    for comp in cut2.graph.components():
-        piece = cut2.graph.subgraph(comp)
-        if _count_copies(piece, cut2, cut1) == 1 and _count_copies2(piece, cut2) == 1:
-            pemb = induced_embedding(cut2.embedding, piece)
-            if pemb.euler_genus() == 0 and (best is None
-                                            or len(pemb.faces()) < len(best[1].faces())):
-                best = (piece, pemb)
-    if best is None:
+    analysis2 = classify_cycle(cut1.graph, cut1.embedding, lifted)
+    if not analysis2.classification.separating:
+        return None  # one piece holds both copies of C2
+    cylinders = []
+    for side, genus in (("left", analysis2.left_genus), ("right", analysis2.right_genus)):
+        vertices, edges = analysis2.side_vertices(side), analysis2.side_edges(side)
+        if genus == 0 and sum(set(_cycle_edges(copy)) <= edges for copy in cut1.copies) == 1:
+            # a genus-0 piece has 2 - V + E faces
+            cylinders.append((2 - len(vertices) + len(edges), min(vertices), vertices, edges))
+    if not cylinders:
         return None
-    piece, pemb = best
-    return piece, pemb, {v: cut1.origin[cut2.origin[v]] for v in piece.vertices}
+    # the fewest faces win.  Ties go to the piece of the cut along both
+    # cycles with the smallest vertex; the right copy of C2 gets ids
+    # above all others there, so the sides' least vertices decide alike
+    # when min keeps the left side on equality
+    _, _, vertices, edges = min(cylinders, key=lambda c: c[:2])
+    origin = cut1.origin
+    return graph.edge_subgraph({edge_key(origin[u], origin[v]) for u, v in edges},
+                               extra_vertices={origin[v] for v in vertices})
+
+
+def _lift_cycle(cut: CutResult, analysis: CycleAnalysis,
+                cyc2: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Express the second cycle in the cut graph of the first.
+
+    Vertices of C2 off the first cycle map to themselves, and those on
+    it to their copy on the side that C2's edges off C1 leave it on.
+    When those edges leave on both sides the cycles cross, and None is
+    returned.
+    """
+    cset = set(analysis.cycle)
+    l = len(cyc2)
+    sides = {analysis.end_side[(v, w)] for i, v in enumerate(cyc2) if v in cset
+             for w in (cyc2[i - 1], cyc2[(i + 1) % l]) if edge_key(v, w) not in analysis.edges}
+    if len(sides) > 1:
+        return None
+    ids = cut.right_ids if sides == {"right"} else cut.left_ids
+    return tuple(ids.get(v, v) for v in cyc2)
 
 
 def _intersection_components(cyc: tuple[int, ...], vertices: AbstractSet[int],
@@ -531,93 +550,3 @@ def _intersection_components(cyc: tuple[int, ...], vertices: AbstractSet[int],
         elif cyc[i] in vertices:
             runs.append(([cyc[i]], set()))
     return sorted(((tuple(vs), es) for vs, es in runs), key=lambda run: min(run[0]))
-
-
-def _count_copies(piece: Graph, cut2: CutResult, cut1: CutResult) -> int:
-    """Copies of the first cycle present in a component of the second cut."""
-    count = 0
-    for copy in cut1.copies:
-        # a copy of C1 may itself have been duplicated by the second cut;
-        # count the images of this copy's cycle that survive in the piece
-        count += _count_cycle_images(piece, cut2, copy)
-    return count
-
-
-def _count_cycle_images(piece: Graph, cut: CutResult, cycle_ids: tuple[int, ...]) -> int:
-    l = len(cycle_ids)
-    candidates = [[] for _ in range(l)]
-    for i, v in enumerate(cycle_ids):
-        for w in piece.vertices:
-            if cut.origin[w] == v:
-                candidates[i].append(w)
-    total = 0
-    for combo in itertools.product(*candidates):
-        if len(set(combo)) != l:
-            continue
-        ok = all(piece.has_edge(combo[i], combo[(i + 1) % l]) for i in range(l))
-        if ok:
-            total += 1
-    return total
-
-
-def _count_copies2(piece: Graph, cut2: CutResult) -> int:
-    count = 0
-    for copy in cut2.copies:
-        if all(v in piece.vertices for v in copy):
-            l = len(copy)
-            if all(piece.has_edge(copy[i], copy[(i + 1) % l]) for i in range(l)):
-                count += 1
-    return count
-
-
-def _lift_cycle(cut: CutResult, analysis: CycleAnalysis,
-                cyc2: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Express the second cycle in the cut graph of the first.
-
-    Vertices of C2 off the first cycle map to themselves.  Ends touching
-    the first cycle follow their recorded side; the shared path's run of
-    vertices must be entered and left on the same side, otherwise the
-    cycles cross and None is returned.
-    """
-    cset = set(analysis.cycle)
-    l = len(cyc2)
-    # determine the side for each C2-vertex lying on C1
-    sides: dict[int, str] = {}
-    for i, v in enumerate(cyc2):
-        if v not in cset:
-            continue
-        for j in (i - 1, i + 1):
-            w = cyc2[j % l]
-            if w not in cset or edge_key(v, w) not in analysis.graph.edge_set:
-                continue
-            if edge_key(v, w) in analysis.edges:
-                continue  # shared edge: side comes from elsewhere
-            # non-shared C2-edge end at v
-            s = analysis.end_side.get((v, w))
-            if s is not None:
-                if v in sides and sides[v] != s:
-                    return None
-                sides[v] = s
-        # C2-edges from v leaving C1 entirely
-        for j in (i - 1, i + 1):
-            w = cyc2[j % l]
-            if w in cset:
-                continue
-            s = analysis.end_side.get((v, w))
-            if s is not None:
-                if v in sides and sides[v] != s:
-                    return None
-                sides[v] = s
-    # propagate one side across the shared run (shared edges have no ends)
-    decided = set(sides.values())
-    if len(decided) > 1:
-        return None
-    side = decided.pop() if decided else "left"
-    ids = cut.left_ids if side == "left" else cut.right_ids
-    lifted = tuple(ids.get(v, v) if v in cset else v for v in cyc2)
-    # validate the lift is a cycle of the cut graph
-    try:
-        check_cycle(cut.graph, lifted)
-    except EmbeddingError:
-        return None
-    return lifted

@@ -55,8 +55,21 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TreeDecomposition":
-        bags = {int(t): b for t, b in obj["bags"].items()}
-        tree = Graph.build(bags.keys(), obj["tree_edges"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("bags"), dict):
+            raise TreeDecompositionError("tree decomposition json: 'bags' must be an object")
+        if not isinstance(obj.get("tree_edges"), list):
+            raise TreeDecompositionError("tree decomposition json: 'tree_edges' must be a list")
+        try:
+            bags = {int(t): [int(v) for v in b] for t, b in obj["bags"].items()}
+        except (TypeError, ValueError):
+            raise TreeDecompositionError("tree decomposition json: 'bags' must map "
+                                         "tree nodes to lists of vertices") from None
+        try:
+            edges = [(int(s), int(t)) for s, t in obj["tree_edges"]]
+        except (TypeError, ValueError):
+            raise TreeDecompositionError("tree decomposition json: 'tree_edges' must be "
+                                         "a list of [s, t] pairs of tree nodes") from None
+        tree = Graph.build(bags.keys(), edges)
         return TreeDecomposition.build(tree, bags)
 
 

@@ -6,8 +6,9 @@ the genus oracle enumerates the full rotation-by-signature product with
 no pruning and no symmetry reduction, treewidth is minimized over all
 elimination orderings or by the recurrence over all vertex subsets,
 isomorphism classes are settled pair by pair with networkx VF2, a
-cycle's sides are found by a union-find over every edge off it, and the
-longest well-nested chain walks every path of the nesting DAG.
+cycle's sides are found by a union-find over every edge off it, homotopy
+is decided by a second cut and by counting cycle copies in its pieces,
+and the longest well-nested chain walks every path of the nesting DAG.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import networkx as nx
 
 from surface_minors.graph import Graph, edge_key
-from surface_minors.embedding import Embedding, FaceWalk, check_cycle
-from surface_minors.topology import (CycleAnalysis, CycleClassification,
-                                     TopologyError, classify_cycle)
+from surface_minors.embedding import Embedding, EmbeddingError, FaceWalk, check_cycle
+from surface_minors.topology import (CutResult, CycleAnalysis, CycleClassification,
+                                     TopologyError, _cycle_edges, _intersection_components,
+                                     classify_cycle, induced_embedding)
 from surface_minors.structure import (ChainResult, WellNestedKind, enumerate_cycles,
                                       _classify_pinches, _nested)
 
@@ -399,6 +402,155 @@ def union_find_classify(graph: Graph, emb: Embedding, cycle,
     cls = CycleClassification("two-sided", separating, contractible, disk_side)
     return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges, roots,
                          left_genus, right_genus)
+
+
+# ---------------------------------------------------------------------------
+# Homotopy by a double cut
+# ---------------------------------------------------------------------------
+
+
+def double_cut_homotopy(graph: Graph, emb: Embedding, c1, c2):
+    """``are_homotopic`` by cutting along C1, then along C2 lifted to
+    that cut, and counting the copies of both cycles in every component
+    of the second cut: the region is the genus-0 component holding
+    exactly one copy of each, mapped back to the graph, or None."""
+    found = _cylinder(graph, emb, c1, c2)
+    if found is None:
+        return None
+    piece, _, origin = found
+    edges = {edge_key(origin[u], origin[v]) for u, v in piece.edges
+             if origin[u] != origin[v]}
+    return graph.edge_subgraph(edges, extra_vertices=set(origin.values()))
+
+
+def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]):
+    """The double cut behind ``double_cut_homotopy``: cut along C1, then along
+    C2 lifted to that cut, and return the genus-0 component holding
+    exactly one copy of each cycle, with the fewest faces (ties go to the
+    component with the smallest vertex), as (piece, its embedding, map
+    from the piece's vertices to the graph's); None when there is none."""
+    cyc1 = check_cycle(graph, c1)
+    cyc2 = check_cycle(graph, c2)
+    if emb._signature_of(cyc1) < 0 or emb._signature_of(cyc2) < 0:
+        raise TopologyError("are_homotopic: both cycles must be two-sided")
+    if set(cyc1) == set(cyc2) and set(_cycle_edges(cyc1)) == set(_cycle_edges(cyc2)):
+        raise TopologyError("are_homotopic: the cycles coincide")
+    # the cycles differ, so no shared run is all of C1: each is a path
+    shared = _intersection_components(cyc1, set(cyc2), set(_cycle_edges(cyc2)))
+    if len(shared) > 1:
+        raise TopologyError(
+            f"are_homotopic: cycles share {len(shared)} separate pieces "
+            f"({sorted(sorted(c) for c, _ in shared)}); allowed is one path")
+
+    analysis1 = classify_cycle(graph, emb, cyc1)
+    cut1 = analysis1.cut
+    lifted = _lift_cycle(cut1, analysis1, cyc2)
+    if lifted is None:
+        raise TopologyError("are_homotopic: cycles cross transversally")
+    cut2 = classify_cycle(cut1.graph, cut1.embedding, lifted).cut
+
+    best = None
+    for comp in cut2.graph.components():
+        piece = cut2.graph.subgraph(comp)
+        if _count_copies(piece, cut2, cut1) == 1 and _count_copies2(piece, cut2) == 1:
+            pemb = induced_embedding(cut2.embedding, piece)
+            if pemb.euler_genus() == 0 and (best is None
+                                            or len(pemb.faces()) < len(best[1].faces())):
+                best = (piece, pemb)
+    if best is None:
+        return None
+    piece, pemb = best
+    return piece, pemb, {v: cut1.origin[cut2.origin[v]] for v in piece.vertices}
+
+
+def _count_copies(piece: Graph, cut2: CutResult, cut1: CutResult) -> int:
+    """Copies of the first cycle present in a component of the second cut."""
+    count = 0
+    for copy in cut1.copies:
+        # a copy of C1 may itself have been duplicated by the second cut;
+        # count the images of this copy's cycle that survive in the piece
+        count += _count_cycle_images(piece, cut2, copy)
+    return count
+
+
+def _count_cycle_images(piece: Graph, cut: CutResult, cycle_ids: tuple[int, ...]) -> int:
+    l = len(cycle_ids)
+    candidates = [[] for _ in range(l)]
+    for i, v in enumerate(cycle_ids):
+        for w in piece.vertices:
+            if cut.origin[w] == v:
+                candidates[i].append(w)
+    total = 0
+    for combo in itertools.product(*candidates):
+        if len(set(combo)) != l:
+            continue
+        ok = all(piece.has_edge(combo[i], combo[(i + 1) % l]) for i in range(l))
+        if ok:
+            total += 1
+    return total
+
+
+def _count_copies2(piece: Graph, cut2: CutResult) -> int:
+    count = 0
+    for copy in cut2.copies:
+        if all(v in piece.vertices for v in copy):
+            l = len(copy)
+            if all(piece.has_edge(copy[i], copy[(i + 1) % l]) for i in range(l)):
+                count += 1
+    return count
+
+
+def _lift_cycle(cut: CutResult, analysis: CycleAnalysis,
+                cyc2: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Express the second cycle in the cut graph of the first.
+
+    Vertices of C2 off the first cycle map to themselves.  Ends touching
+    the first cycle follow their recorded side; the shared path's run of
+    vertices must be entered and left on the same side, otherwise the
+    cycles cross and None is returned.
+    """
+    cset = set(analysis.cycle)
+    l = len(cyc2)
+    # determine the side for each C2-vertex lying on C1
+    sides: dict[int, str] = {}
+    for i, v in enumerate(cyc2):
+        if v not in cset:
+            continue
+        for j in (i - 1, i + 1):
+            w = cyc2[j % l]
+            if w not in cset or edge_key(v, w) not in analysis.graph.edge_set:
+                continue
+            if edge_key(v, w) in analysis.edges:
+                continue  # shared edge: side comes from elsewhere
+            # non-shared C2-edge end at v
+            s = analysis.end_side.get((v, w))
+            if s is not None:
+                if v in sides and sides[v] != s:
+                    return None
+                sides[v] = s
+        # C2-edges from v leaving C1 entirely
+        for j in (i - 1, i + 1):
+            w = cyc2[j % l]
+            if w in cset:
+                continue
+            s = analysis.end_side.get((v, w))
+            if s is not None:
+                if v in sides and sides[v] != s:
+                    return None
+                sides[v] = s
+    # propagate one side across the shared run (shared edges have no ends)
+    decided = set(sides.values())
+    if len(decided) > 1:
+        return None
+    side = decided.pop() if decided else "left"
+    ids = cut.left_ids if side == "left" else cut.right_ids
+    lifted = tuple(ids.get(v, v) if v in cset else v for v in cyc2)
+    # validate the lift is a cycle of the cut graph
+    try:
+        check_cycle(cut.graph, lifted)
+    except EmbeddingError:
+        return None
+    return lifted
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from surface_minors.cli import main
 from surface_minors.graph import Graph, graph6_encode
 from surface_minors.structure import is_nested
 from surface_minors.treedecomp import TreeDecomposition, validate
-from conftest import complete, complete_bipartite, grid, planar_embedding
+from conftest import complete, complete_bipartite, grid, path_graph, planar_embedding, torus_grid
 from oracles import rectangle_radius
 
 
@@ -86,6 +86,66 @@ def test_missing_input_file_is_a_cli_error(tmp_path, capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and missing in captured.err
     assert "Traceback" not in captured.err
+
+
+K4_EMBEDDING = json.loads(planar_embedding(complete(4)).to_json())
+TD_PATH = {"tree_edges": [[t, t + 1] for t in range(19)],
+           "bags": {str(t): [100 + t] for t in range(20)}}
+
+
+@pytest.mark.parametrize("flag,content,field", [
+    ("--json-graph", {"n": "3", "edges": []}, "'n'"),
+    ("--json-graph", {"n": 3, "edges": [[0, 5]]}, "'edges'"),
+    ("--json-graph", {"n": 3, "edges": 5}, "'edges'"),
+    ("--embedding", {k: v for k, v in K4_EMBEDDING.items() if k != "rotation"}, "'rotation'"),
+    ("--embedding", [1, 2], "'rotation'"),
+    ("--td", {"tree_edges": []}, "'bags'"),
+    ("--td", [], "'bags'"),
+    ("--td", TD_PATH, "axiom 1"),
+], ids=["n-not-int", "edge-out-of-range", "edges-not-list", "no-rotation",
+        "embedding-not-object", "no-bags", "td-not-object", "td-of-another-graph"])
+def test_malformed_input_file_is_a_named_cli_error(tmp_path, capsys, flag, content, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if flag == "--td":
+        argv = ["separate", "--graph6", graph6_encode(path_graph(40)), "--k", "2"]
+    elif flag == "--embedding":
+        argv = ["faces", "--graph6", graph6_encode(complete(4))]
+    else:
+        argv = ["faces"]
+    code = main(argv + [flag, str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "Traceback" not in captured.err
+
+
+def torus_grid_args(tmp_path, rows: int, cols: int) -> list[str]:
+    g, emb = torus_grid(rows, cols)
+    path = tmp_path / "torus.json"
+    path.write_text(emb.to_json())
+    return ["--graph6", graph6_encode(g), "--embedding", str(path), "--json"]
+
+
+def test_homotopy_json_on_torus_bands(tmp_path, capsys):
+    # two parallel essential triangles bound an annulus of their 6 vertices
+    code = main(["homotopy", "--cycle", "0,6,12", "--cycle2", "1,7,13"]
+                + torus_grid_args(tmp_path, 3, 6))
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["homotopic"] is True
+    assert out["interior"]["n"] == 6
+
+
+@pytest.mark.parametrize("cycle,genus", [("0,1,2", 0), ("0,1,4,3", 2)],
+                         ids=["nonseparating", "contractible"])
+def test_cut_json_on_the_torus_grid(tmp_path, capsys, cycle, genus):
+    # a nonseparating cut leaves an annulus; a contractible one a disk
+    # and a holed torus
+    code = main(["cut", "--cycle", cycle] + torus_grid_args(tmp_path, 3, 3))
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(out["copies"]) == 2 and out["total_genus"] == genus
 
 
 def test_embeddable_two_k33_in_klein_bottle(capsys):

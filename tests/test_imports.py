@@ -1,6 +1,7 @@
 """Every module-level import in the package and its tests is used by its
 module, every private module-level function and class of the package is
-named somewhere, and importing the package leaves networkx and mpmath
+named somewhere, every public function of ``tests/oracles.py`` is named
+by a test file, and importing the package leaves networkx and mpmath
 unloaded.
 
 No linter ships with the toolchain, so this is the check: each
@@ -11,7 +12,8 @@ somewhere in that module.  Names read only inside string annotations
 count as read.  ``__future__`` imports are ignored.  A ``_``-prefixed
 module-level function or class of the package must be read, imported or
 reached as an attribute somewhere in the package or its tests outside
-its own definition.
+its own definition.  A public function of ``tests/oracles.py`` must be
+named in some ``tests/test_*.py``.
 """
 
 import ast
@@ -26,8 +28,9 @@ import surface_minors
 
 PACKAGE = Path(surface_minors.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "conftest.py")
-EVERY_FILE = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+TESTS_DIR = Path(__file__).parent
+TESTS = sorted(p for p in TESTS_DIR.glob("*.py") if p.name != "conftest.py")
+EVERY_FILE = sorted(PACKAGE.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -122,6 +125,33 @@ def test_private_definitions_are_named():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in EVERY_FILE}
     package = [tree for path, tree in trees.items() if path.parent == PACKAGE]
     assert _unnamed_private_definitions(package, list(trees.values())) == []
+
+
+def _unnamed_public_functions(defining: ast.Module, every: list[ast.Module]) -> list[str]:
+    """The public module-level functions of ``defining`` that no module of
+    ``every`` names."""
+    named = set().union(*map(_names, every))
+    return [node.name for node in defining.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in named]
+
+
+def test_every_oracle_is_named_by_a_test():
+    # an oracle that no test names checks nothing
+    oracles = ast.parse((TESTS_DIR / "oracles.py").read_text())
+    tests = [ast.parse(p.read_text()) for p in sorted(TESTS_DIR.glob("test_*.py"))]
+    assert _unnamed_public_functions(oracles, tests) == []
+
+
+def test_checker_flags_an_unnamed_oracle():
+    oracles = ast.parse("def used(): pass\n"
+                        "def reached(): pass\n"
+                        "def stale(): return used()\n"
+                        "def _helper(): pass\n")
+    user = ast.parse("from oracles import used\n"
+                     "import oracles\n"
+                     "oracles.reached()\n")
+    assert _unnamed_public_functions(oracles, [user]) == ["stale"]
 
 
 def test_checker_flags_an_unnamed_private_definition():

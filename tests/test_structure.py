@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from surface_minors import structure
-from surface_minors.embedding import EmbeddingError
+from surface_minors.embedding import Embedding, EmbeddingError
+from surface_minors.graph import Graph
 from surface_minors.structure import (StructureError, _classify_pinches, enumerate_cycles,
                                       is_nested, longest_well_nested_chain, radius)
 from conftest import grid, planar_embedding, torus_grid, wheel
@@ -66,7 +67,19 @@ def test_classify_pinches_on_hand_checked_pairs():
             assert _pieces(_classify_pinches(embedding, outer_cycle, inner)) == want, inner
 
 
-CHAIN_GRIDS = [("torus", 3, 3), ("torus", 3, 4)] + [
+def torus_with_nested_triangle() -> tuple[Graph, Embedding]:
+    """The 3x3 torus grid with the triangle 9-10-11 drawn inside its face
+    0-1-4-3 and joined to it by the edges 0-9, 1-10 and 4-11."""
+    g, emb = torus_grid(3, 3)
+    edges = list(g.edges) + [(9, 10), (10, 11), (9, 11), (0, 9), (1, 10), (4, 11)]
+    rotation = dict(emb.rot) | {0: (1, 9, 3, 2, 6), 1: (0, 7, 2, 4, 10),
+                                4: (1, 5, 7, 3, 11), 9: (0, 10, 11), 10: (1, 11, 9),
+                                11: (4, 9, 10)}
+    big = Graph.build(range(12), edges)
+    return big, Embedding.build(big, rotation)
+
+
+CHAIN_GRIDS = [("torus", 3, 3), ("torus", 3, 4), ("torus-nested", 3, 3)] + [
     ("planar", r, c) for r in range(2, 5) for c in range(r, 5)]
 
 
@@ -75,6 +88,8 @@ CHAIN_GRIDS = [("torus", 3, 3), ("torus", 3, 4)] + [
 def test_chain_matches_exhaustive_oracle(surface, rows, cols):
     if surface == "torus":
         g, emb = torus_grid(rows, cols)
+    elif surface == "torus-nested":
+        g, emb = torus_with_nested_triangle()
     else:
         g = grid(rows, cols)
         emb = planar_embedding(g)
@@ -82,6 +97,10 @@ def test_chain_matches_exhaustive_oracle(surface, rows, cols):
     assert got.exact and got.cycles == want.cycles
     assert [k.key for k in got.kinds] == [k.key for k in want.kinds]
     assert got.discipline == want.discipline
+    if surface == "torus-nested":
+        # a chain of two: the triangle nested in the face it was drawn in
+        assert (emb.euler_genus(), len(emb.faces())) == (2, 12)
+        assert got.cycles == ((9, 10, 11), (0, 1, 4, 3)) and got.discipline == "free"
 
 
 def test_chain_classifies_each_cycle_once(monkeypatch):

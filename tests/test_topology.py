@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -15,8 +16,8 @@ from surface_minors.topology import (TopologyError, _intersection_components, ar
 from surface_minors.structure import enumerate_cycles
 from conftest import (complete, complete_bipartite, cycle_graph, grid, petersen,
                       planar_embedding, rotations_from_positions, torus_grid, wheel)
-from oracles import (all_rotation_signatures, connected_graphs_up_to, torus_winding,
-                     union_find_classify)
+from oracles import (all_rotation_signatures, connected_graphs_up_to, double_cut_homotopy,
+                     torus_winding, union_find_classify)
 
 
 def all_embeddings(g: Graph):
@@ -24,6 +25,8 @@ def all_embeddings(g: Graph):
     return (Embedding.build(g, r, s) for r, s, _ in all_rotation_signatures(g))
 
 
+PRISM = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                               (0, 3), (1, 4), (2, 5)])
 K4_PLANAR = Embedding.build(complete(4), rotation={0: [1, 2, 3], 1: [0, 3, 2],
                                                    2: [0, 1, 3], 3: [0, 2, 1]})
 
@@ -379,10 +382,8 @@ def test_lemma_faces_are_cycles_inside_contractible():
 
 
 def test_homotopy_prism_triangles():
-    pr = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                                (0, 3), (1, 4), (2, 5)])
-    emb = planar_embedding(pr)
-    region = are_homotopic(pr, emb, [0, 1, 2], [3, 4, 5])
+    emb = planar_embedding(PRISM)
+    region = are_homotopic(PRISM, emb, [0, 1, 2], [3, 4, 5])
     assert region is not None
     assert set(region.vertices) == set(range(6))
 
@@ -411,11 +412,47 @@ def test_homotopy_rejects_bad_overlap():
     with pytest.raises(TopologyError):
         are_homotopic(g, emb, tri(0), tri(0))
     # two cycles sharing two separate paths are rejected
-    pr = Graph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                                (0, 3), (1, 4), (2, 5)])
-    emb_pr = planar_embedding(pr)
     with pytest.raises(TopologyError, match="separate pieces"):
-        are_homotopic(pr, emb_pr, [0, 1, 4, 3], [0, 2, 1, 4, 5, 3])
+        are_homotopic(PRISM, planar_embedding(PRISM), [0, 1, 4, 3], [0, 2, 1, 4, 5, 3])
+
+
+def _homotopy_outcome(decide, g, emb, c1, c2):
+    try:
+        region = decide(g, emb, c1, c2)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None if region is None else (region.vertices, region.edges)
+
+
+def test_homotopy_matches_double_cut_oracle():
+    # the same region, None or error as cutting along both cycles and
+    # counting copies: every ordered pair of two-sided cycles of the
+    # prism and two planar grids, and seeded samples of pairs from two
+    # torus grids and from orientable and nonorientable random
+    # embeddings of K5 and K3,4
+    rng = random.Random(15)
+    cases = [(g, planar_embedding(g), None) for g in (PRISM, grid(3, 3), grid(3, 4))]
+    cases += [(*torus_grid(rows, cols), 1000) for rows, cols in ((3, 3), (3, 4))]
+    for g in (complete(5), complete_bipartite(3, 4)):
+        for signed in (False, False, True, True):
+            emb = random_embedding(g, rng)
+            cases.append((g, emb if signed else Embedding.build(g, emb.rot), 250))
+    outcomes = collections.Counter()
+    for g, emb, sample in cases:
+        two_sided = [c for c in enumerate_cycles(g)[0] if emb.cycle_signature(c) > 0]
+        n = len(two_sided)
+        for k in range(n * n) if sample is None else rng.sample(range(n * n), sample):
+            c1, c2 = two_sided[k // n], two_sided[k % n]
+            got = _homotopy_outcome(are_homotopic, g, emb, c1, c2)
+            assert got == _homotopy_outcome(double_cut_homotopy, g, emb, c1, c2), (c1, c2)
+            if got is None or isinstance(got[0], type):
+                outcomes["none" if got is None else "error"] += 1
+            else:
+                shared = len(set(c1) & set(c2))
+                outcomes["disjoint" if not shared else "vertex" if shared == 1 else "path"] += 1
+    assert set(outcomes) == {"none", "error", "disjoint", "vertex", "path"}
+    assert sum(outcomes.values()) >= 5000
+    assert outcomes["disjoint"] + outcomes["vertex"] + outcomes["path"] >= 500, outcomes
 
 
 def test_homotopy_symmetric_on_disjoint_pairs():
