@@ -39,14 +39,9 @@ class MinorWitness:
         comps = sorted(self.graph.components(), key=min)
         if len(comps) != len(self.embeddings):
             return False
-        for comp, emb in zip(comps, self.embeddings):
-            if set(emb.graph.vertices) != set(comp):
-                return False
-            if not emb.graph.is_subgraph_of(self.graph):
-                return False
-            if emb.graph.m != sum(1 for e in self.graph.edges
-                                  if e[0] in comp and e[1] in comp):
-                return False
+        if any(emb.graph != self.graph.subgraph(comp)
+               for comp, emb in zip(comps, self.embeddings)):
+            return False
         return surface.fits(sum(e.euler_genus() for e in self.embeddings),
                             all(e.is_orientable() for e in self.embeddings))
 

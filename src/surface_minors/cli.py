@@ -32,8 +32,7 @@ def _load_embedding(args, graph: Graph) -> Embedding:
     if args.embedding:
         with open(args.embedding) as fh:
             emb = Embedding.from_json(fh.read())
-        if set(emb.graph.vertices) != set(graph.vertices) or \
-                set(emb.graph.edges) != set(graph.edges):
+        if emb.graph != graph:
             raise SystemExit("error: embedding file is for a different graph")
         return emb
     return default_embedding(graph)
@@ -126,12 +125,13 @@ def cmd_cut(args) -> int:
     g = _load_graph(args)
     emb = _load_embedding(args, g)
     cut = cut_along(g, emb, _parse_cycle(args.cycle))
+    genus = total_genus(cut)
     obj = {"graph": json.loads(graph_to_json(cut.graph)),
            "embedding": json.loads(cut.embedding.to_json()),
            "copies": [list(c) for c in cut.copies],
-           "total_genus": total_genus(cut)}
+           "total_genus": genus}
     _emit(args, obj, f"cut: {cut.graph.n} vertices, {len(cut.copies)} cycle copies, "
-          f"total genus {total_genus(cut)}")
+          f"total genus {genus}")
     return 0
 
 

@@ -166,24 +166,8 @@ class Embedding:
         tset = {edge_key(*e) for e in tree}
         if not _is_spanning_forest(self.graph, tset):
             raise EmbeddingError("normalize_signatures: not a spanning tree of the graph")
-        flip: set[int] = set()
-        assigned: dict[int, bool] = {}
-        tadj: dict[int, list[int]] = {v: [] for v in self.graph.vertices}
-        for u, v in tset:
-            tadj[u].append(v)
-            tadj[v].append(u)
-        for root in self.graph.vertices:
-            if root in assigned:
-                continue
-            assigned[root] = False
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in tadj[u]:
-                    if w not in assigned:
-                        assigned[w] = assigned[u] ^ (self.sig[edge_key(u, w)] < 0)
-                        stack.append(w)
-        flip = {v for v, f in assigned.items() if f}
+        flips, _ = _switching(self.graph, {e: s < 0 for e, s in self.signature}, tset)
+        flip = [v for v, f in flips.items() if f]
         return self.local_change_set(flip) if flip else self
 
     def cycle_signature(self, cycle: Sequence[int]) -> int:
@@ -199,62 +183,32 @@ class Embedding:
         return s
 
     def is_orientable(self) -> bool:
-        """True iff every cycle is two-sided: after normalizing on a
-        spanning tree, all cotree signatures are +1."""
-        norm = self.normalize_signatures()
-        tset = set(self.graph.spanning_tree())
-        return all(s > 0 for e, s in norm.signature if e not in tset)
+        """True iff every cycle is two-sided: some set of local changes
+        makes every signature +1."""
+        return _switching(self.graph, {e: s < 0 for e, s in self.signature})[1]
 
     # -- equivalence --------------------------------------------------------
 
     def equivalent(self, other: "Embedding") -> bool:
         """Whether some set of local changes maps this embedding to the
-        other.  Decided directly: each vertex's rotation constrains its
-        membership in the flipped set, signatures give a parity
-        constraint per edge, and the system is solved per component."""
+        other.  The switching search on the edges whose signs differ fixes
+        the flipped set of each component up to complement; every vertex
+        of the component must then keep its rotation when it stays and
+        reverse it when it flips.  Rotations start at their least
+        neighbour (``build``), so the reversal of a is a[:1] + a[:0:-1]."""
         if self.graph != other.graph:
             raise EmbeddingError("equivalent: embeddings of different graphs")
-        allowed: dict[int, set[bool]] = {}
-        for v in self.graph.vertices:
-            a, b = self.rot[v], other.rot[v]
-            opts = set()
-            if _cyclic_equal(a, b):
-                opts.add(False)
-            if _cyclic_equal(tuple(reversed(a)), b):
-                opts.add(True)
-            if not opts:
-                return False
-            allowed[v] = opts
-        need = {e: (self.sig[e] != other.sig[e]) for e in self.graph.edge_set}
-        assigned: dict[int, bool] = {}
-        for comp in self.graph.components():
-            root = min(comp)
-            ok = False
-            for start in allowed[root]:
-                trial = {root: start}
-                stack = [root]
-                good = True
-                while stack and good:
-                    u = stack.pop()
-                    for w in self.graph.neighbors(u):
-                        want = trial[u] ^ need[edge_key(u, w)]
-                        if w in trial:
-                            if trial[w] != want:
-                                good = False
-                                break
-                        else:
-                            if want not in allowed[w]:
-                                good = False
-                                break
-                            trial[w] = want
-                            stack.append(w)
-                if good:
-                    assigned.update(trial)
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        flips, consistent = _switching(
+            self.graph, {e: s != other.sig[e] for e, s in self.signature})
+        if not consistent:
+            return False
+
+        def fits(v: int, flip: bool) -> bool:
+            a = self.rot[v]
+            return (a[:1] + a[:0:-1] if flip else a) == other.rot[v]
+
+        return all(any(all(fits(v, flips[v] ^ c) for v in comp) for c in (False, True))
+                   for comp in self.graph.components())
 
     # -- faces ---------------------------------------------------------------
 
@@ -393,12 +347,36 @@ def _is_spanning_forest(graph: Graph, edges: set[Edge]) -> bool:
     return len(sub.components()) == len(graph.components())
 
 
-def _cyclic_equal(a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    return _cyclic_rotations(a) == _cyclic_rotations(b)
+def _switching(graph: Graph, negative: Mapping[Edge, bool],
+               edges: Iterable[Edge] | None = None) -> tuple[dict[int, bool], bool]:
+    """The local changes that make the given edges positive.
+
+    Searches each component of the graph on ``edges`` (default: all
+    edges) from its least vertex, which stays; a vertex flips exactly
+    when the edge it is reached by is negative relative to the vertex it
+    comes from.  Returns the flip bit of each vertex and whether every
+    given edge ends up positive; the search stops at the first edge that
+    does not, so the flip bits are complete only when that is True.
+    """
+    if edges is not None:
+        graph = graph.edge_subgraph(edges, extra_vertices=graph.vertices)
+    adj = graph._adj
+    flips: dict[int, bool] = {}
+    for root in graph.vertices:
+        if root in flips:
+            continue
+        flips[root] = False
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                flip = flips[u] ^ negative[(u, w) if u < w else (w, u)]
+                if w not in flips:
+                    flips[w] = flip
+                    stack.append(w)
+                elif flips[w] != flip:
+                    return flips, False
+    return flips, True
 
 
 def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:

@@ -208,9 +208,10 @@ class _FaceTracker:
     states of the open walk starting at s.  Only entries at walk ends are
     kept current; the stale ones are exactly what undo needs.
     ``walk_sum`` is the sum over open walks of min(length, min_face).
+    ``saved`` holds ``(orbits, walk_sum)`` from before each ``link`` not yet undone.
     """
 
-    __slots__ = ("start_of", "end_of", "length", "min_face", "orbits", "walk_sum")
+    __slots__ = ("start_of", "end_of", "length", "min_face", "orbits", "walk_sum", "saved")
 
     def __init__(self, nstates: int, min_face: int):
         self.start_of = list(range(nstates))
@@ -219,11 +220,13 @@ class _FaceTracker:
         self.min_face = min_face
         self.orbits = 0  # closed orbits
         self.walk_sum = nstates  # every state starts as a walk of length 1
+        self.saved: list[tuple[int, int]] = []
 
     def link(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Fix succ(s) = t for each pair; s must end an open walk and t
         start one.  A link within one walk closes it into an orbit."""
         start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
+        self.saved.append((self.orbits, self.walk_sum))
         closed = delta = 0
         for s, t in pairs:
             a = start_of[s]
@@ -250,28 +253,14 @@ class _FaceTracker:
 
     def unlink(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Undo the matching ``link`` call; calls must nest."""
-        start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
-        closed = delta = 0
+        start_of, end_of, length = self.start_of, self.end_of, self.length
         for s, t in reversed(pairs):
             a = start_of[s]
-            lt = length[t]
-            if a == t:
-                closed += 1
-                delta += lt if lt < cap else cap
-            else:
-                b = end_of[t]
+            if a != t:
                 end_of[a] = s
-                start_of[b] = t
-                la = length[a] - lt
-                length[a] = la
-                if la >= cap:
-                    delta += lt if lt < cap else cap
-                elif lt >= cap:
-                    delta += la
-                elif la + lt > cap:
-                    delta -= cap - la - lt
-        self.orbits -= closed
-        self.walk_sum += delta
+                start_of[end_of[t]] = t
+                length[a] -= length[t]
+        self.orbits, self.walk_sum = self.saved.pop()
 
 
 class _FloorReached(Exception):

@@ -116,10 +116,6 @@ class Graph:
         vs = {v for e in es for v in e} | set(extra_vertices)
         return Graph(tuple(sorted(vs)), tuple(es))
 
-    def is_subgraph_of(self, other: "Graph") -> bool:
-        return (set(self.vertices) <= set(other.vertices)
-                and self.edge_set <= other.edge_set)
-
     def components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
         out = []
@@ -196,11 +192,10 @@ class Graph:
         g.add_edges_from(self.edges)
         return g
 
-    def relabeled(self) -> tuple["Graph", dict[int, int]]:
+    def relabeled(self) -> "Graph":
         """Relabel vertices to 0..n-1 in sorted id order."""
         lab = {v: i for i, v in enumerate(self.vertices)}
-        g = Graph.build(range(self.n), [(lab[u], lab[v]) for u, v in self.edges])
-        return g, lab
+        return Graph.build(range(self.n), [(lab[u], lab[v]) for u, v in self.edges])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -274,7 +269,7 @@ def graph6_decode(text: str) -> Graph:
 
 def graph6_encode(graph: Graph) -> str:
     """Encode a graph as graph6, relabeling vertices to 0..n-1 sorted."""
-    g, lab = graph.relabeled()
+    g = graph.relabeled()
     n = g.n
     out: list[int] = []
     if n <= 62:
@@ -304,7 +299,7 @@ def graph_to_json(graph: Graph) -> str:
     Vertices are relabeled to 0..n-1; original ids are kept under
     ``vertex_ids`` when they are not already 0..n-1.
     """
-    g, lab = graph.relabeled()
+    g = graph.relabeled()
     obj: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     if graph.vertices != tuple(range(graph.n)):
         obj["vertex_ids"] = list(graph.vertices)

@@ -112,7 +112,9 @@ def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
     """The vertices of C whose local changes make every signature on C
     positive (two-sided C), or every one positive except the closing
     edge (one-sided C with ``leave_negative_last``).  ``keys`` are C's
-    edge keys as ``cycle_edge_keys`` gives them, found here if omitted."""
+    edge keys as ``cycle_edge_keys`` gives them, found here if omitted.
+    A walk along C from its first vertex, not ``embedding._switching``:
+    that root stays, and it fixes which side of C ``_cut`` calls left."""
     if keys is None:
         keys = _cycle_edges(cycle)
     sig = emb.sig

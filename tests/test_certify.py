@@ -1,6 +1,8 @@
 import json
+from dataclasses import replace
 
 from surface_minors.graph import Graph
+from surface_minors.embedding import Embedding
 from surface_minors.genus_search import Surface, embeddable_in
 from surface_minors.certify import (MinorWitness, certificate_from_json, certificate_to_json,
                                     certify_excluded_minor, check_genus_range,
@@ -96,6 +98,25 @@ def test_certificate_with_missing_minor_rejected():
     bad = certificate_from_json(json.dumps(obj))
     ok, why = verify_certificate(bad)
     assert not ok and "not covered" in why
+
+
+def test_certificate_with_a_wrong_witness_graph_rejected():
+    # a witness must embed exactly its minor: one edge fewer or one
+    # vertex more fails, though K4 - e still embeds in the sphere
+    cert = certify_excluded_minor(complete(5), SPHERE).certificate
+    w = cert.minors[0]
+    emb = w.embeddings[0]
+    g = emb.graph
+    u, v = g.edges[0]
+    fewer = Embedding.build(Graph.build(g.vertices, g.edges[1:]),
+                            {x: [y for y in r if {x, y} != {u, v}] for x, r in emb.rot.items()},
+                            {e: s for e, s in emb.sig.items() if e != (u, v)})
+    more = Embedding.build(Graph.build(g.vertices + (max(g.vertices) + 1,), g.edges),
+                           emb.rot, emb.sig)
+    for wrong in (fewer, more):
+        bad = replace(cert, minors=(replace(w, embeddings=(wrong,)),) + cert.minors[1:])
+        ok, why = verify_certificate(bad)
+        assert not ok and why == f"witness for {w.op} failed verification"
 
 
 def test_blocks_of_wedge_certify_per_block():

@@ -208,7 +208,7 @@ def test_chain_json_on_the_3x3_grid(tmp_path, capsys):
 
 def test_radius_json_on_the_4x5_grid(tmp_path, capsys):
     # the boundary of the whole grid encloses 3 x 4 unit squares
-    g, args = planar_grid_args(tmp_path, 4, 5)
+    _, args = planar_grid_args(tmp_path, 4, 5)
     boundary = [0, 1, 2, 3, 4, 9, 14, 19, 18, 17, 16, 15, 10, 5]
     code = main(["radius", "--cycle", ",".join(map(str, boundary))] + args)
     out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from surface_minors.graph import Graph
 from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk,
                                       default_embedding, face_traversal,
                                       random_embedding)
-from conftest import complete, cycle_graph, path_graph
-from oracles import all_rotation_signatures, naive_face_count
+from conftest import complete, complete_bipartite, cycle_graph, path_graph
+from oracles import all_rotation_signatures, naive_face_count, naive_is_orientable
 
 
 def random_connected(rng, max_n=7, extra=6):
@@ -156,6 +157,23 @@ def test_orientability():
     assert not emb.is_orientable()
 
 
+def test_is_orientable_matches_naive_oracle():
+    # seeded random embeddings of random graphs, disconnected ones and
+    # isolated vertices included
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        g = Graph.build(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)
+                                   if rng.random() < 0.35])
+        emb = random_embedding(g, rng)
+        got = emb.is_orientable()
+        assert got == naive_is_orientable(g, emb.sig)
+        kinds.add((got, g.is_connected(), min(map(g.degree, g.vertices)) == 0))
+    # a connected graph with an isolated vertex is one vertex, so orientable
+    assert kinds == set(itertools.product((True, False), repeat=3)) - {(False, True, True)}
+
+
 def test_equivalence_basics():
     g = complete(4)
     emb = default_embedding(g)
@@ -165,19 +183,41 @@ def test_equivalence_basics():
 
 
 def test_equivalence_of_cycle_embeddings():
-    # every embedding of a cycle is equivalent: exhaust local-change subsets
-    g = cycle_graph(3)
-    base = default_embedding(g)
-    import itertools
-    for pattern in itertools.product((1, -1), repeat=3):
-        emb = Embedding.build(g, signature=dict(zip(g.edges, pattern)))
-        expected = (emb.cycle_signature([0, 1, 2]) == 1)
-        assert base.equivalent(emb) == expected
-        # and equivalence is decided by the local-change subset search
-        reachable = any(base.local_change_set(set(w)) == emb
-                        for r in range(4)
-                        for w in itertools.combinations(g.vertices, r))
-        assert reachable == expected
+    # equivalent() against a search over every local-change subset, on
+    # local changes of a random embedding, on those with one sign flipped,
+    # one rotation reversed or two rotation entries swapped, and on a fresh
+    # signature; C3 alone: equivalent iff the cycle signature agrees
+    paw = Graph.build(range(4), [(0, 1), (0, 2), (1, 2), (2, 3)])
+    with_isolated = Graph.build(range(5), [(0, 1), (0, 2), (1, 2), (2, 3)])
+    c3 = cycle_graph(3)
+    rng = random.Random(5)
+    for g in (c3, complete(4), cycle_graph(4), complete_bipartite(2, 3),
+              paw, with_isolated):
+        subsets = [set(w) for r in range(g.n + 1)
+                   for w in itertools.combinations(g.vertices, r)]
+        verdicts = set()
+        for _ in range(40):
+            base = random_embedding(g, rng)
+            same = base.local_change_set(rng.choice(subsets))
+            rot, sig = same.rot, same.sig
+            e = rng.choice(g.edges)
+            v = rng.choice([x for x in g.vertices if g.degree(x) >= 2])
+            swapped = list(rot[v])
+            i, j = rng.sample(range(len(swapped)), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            others = [same,
+                      Embedding.build(g, rot, {**sig, e: -sig[e]}),
+                      Embedding.build(g, {**rot, v: rot[v][::-1]}, sig),
+                      Embedding.build(g, {**rot, v: swapped}, sig),
+                      Embedding.build(g, base.rot, {f: rng.choice((-1, 1)) for f in g.edges})]
+            for other in others:
+                expected = any(base.local_change_set(w) == other for w in subsets)
+                assert base.equivalent(other) == expected
+                verdicts.add(expected)
+                if g == c3:
+                    assert expected == (base.cycle_signature([0, 1, 2])
+                                        == other.cycle_signature([0, 1, 2]))
+        assert verdicts == {True, False}
 
 
 def test_inequivalent_embeddings_of_k4():

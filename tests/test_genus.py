@@ -85,7 +85,7 @@ def test_minor_monotonicity_random_small():
     graphs = [g for g in connected_graphs_up_to(7) if g.m >= 2]
     for g in rng.sample(graphs, 12):
         base = cached_profile(g).overall_min
-        for op, m in one_step_minors(g, dedup=True):
+        for _, m in one_step_minors(g, dedup=True):
             for comp in m.components():
                 sub = m.subgraph(comp)
                 assert cached_profile(sub).overall_min <= base

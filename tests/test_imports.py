@@ -1,8 +1,8 @@
 """Every module-level import in the package and its tests is used by its
-module, every private module-level function and class of the package is
-named somewhere, every public function of ``tests/oracles.py`` is named
-by a test file, and importing the package leaves networkx and mpmath
-unloaded.
+module, every local name a function assigns is read, every private
+module-level function and class of the package is named somewhere, every
+public function of ``tests/oracles.py`` is named by a test file, and
+importing the package leaves networkx and mpmath unloaded.
 
 No linter ships with the toolchain, so this is the check: each
 ``src/surface_minors/*.py`` and ``tests/*.py`` except ``__init__.py``
@@ -13,7 +13,10 @@ count as read.  ``__future__`` imports are ignored.  A ``_``-prefixed
 module-level function or class of the package must be read, imported or
 reached as an attribute somewhere in the package or its tests outside
 its own definition.  A public function of ``tests/oracles.py`` must be
-named in some ``tests/test_*.py``.
+named in some ``tests/test_*.py``.  A name that a function of the
+package or its tests assigns must be read in that function or a scope
+nested in it, unless it starts with ``_`` or is declared ``global`` or
+``nonlocal`` there.
 """
 
 import ast
@@ -76,6 +79,27 @@ def _assert_imports_used(path: Path) -> None:
         f"{name} (line {line})" for line, name in unused)
 
 
+def _unread_locals(tree: ast.Module) -> list[str]:
+    """``function.name`` for each name a function of ``tree`` assigns and
+    never reads (see the module docstring), in the order ``ast.walk`` meets them."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = [], set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append(node.id)
+                else:
+                    read.add(node.id)
+        out += [f"{fn.name}.{name}" for name in dict.fromkeys(stored)
+                if name not in read and not name.startswith("_")]
+    return out
+
+
 def _names(node: ast.AST) -> set[str]:
     """The names read under ``node``, the attributes it reaches and the
     names it imports."""
@@ -119,6 +143,25 @@ def test_checker_flags_an_unused_import():
     read = _read_names(tree)
     unused = {n for n in _imported_names(tree) if n not in read}
     assert unused == {"system", "Mapping"}
+
+
+def test_assigned_locals_are_read():
+    unread = [f"{path.name}: {name}" for path in EVERY_FILE
+              for name in _unread_locals(ast.parse(path.read_text(), filename=str(path)))]
+    assert unread == []
+
+
+def test_checker_flags_an_unread_local():
+    tree = ast.parse("def f(xs):\n"
+                     "    total, dropped, _spare = 0, 1, 2\n"
+                     "    for i, x in enumerate(xs):\n"
+                     "        total += x\n"
+                     "    def reset():\n"
+                     "        nonlocal total\n"
+                     "        total = 0\n"
+                     "    reset()\n"
+                     "    return [1 for y in xs], total\n")
+    assert _unread_locals(tree) == ["f.dropped", "f.i", "f.y"]
 
 
 def test_private_definitions_are_named():

@@ -269,7 +269,7 @@ def test_classify_cycle_matches_union_find_oracle():
             assert _partition(got.roots) == _partition(want.roots), cyc
         c = got.classification
         kinds.add((c.sidedness, c.separating, c.contractible))
-        if any(w in got.cycle for v, w in got.end_side):
+        if any(w in got.cycle for _, w in got.end_side):
             kinds.add("chord")
         if got.roots is not None and len(set(got.roots.values())) > 2:
             kinds.add("untouched component")
@@ -467,13 +467,9 @@ def test_homotopy_symmetric_on_disjoint_pairs():
 def test_theta_two_contractible_implies_third():
     # three internally disjoint x-y paths: if two of the three cycles are
     # contractible, so is the third
-    rng = random.Random(12)
     theta = Graph.build(range(5), [(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4)])
-    paths = ([0, 1, 4], [0, 2, 4], [0, 3, 4])
     count = 0
     for emb in all_embeddings(theta):
-        cycles = [paths[0][:-1] + [4] + [2],  # placeholder, built below
-                  None, None]
         c01 = [0, 1, 4, 2]
         c02 = [0, 1, 4, 3]
         c12 = [0, 2, 4, 3]
