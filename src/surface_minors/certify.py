@@ -19,7 +19,7 @@ from .embedding import Embedding
 from .genus_search import Surface, combined_minima, default_budget, embeddable_in
 
 
-PRUNING_VERSION = "walk-face-bound-floor-parity-v3"
+PRUNING_VERSION = "walk-face-bound-floor-parity-warm-v4"
 
 
 class CertificationError(ValueError):
@@ -149,10 +149,21 @@ def _op_to_json(op: MinorOp):
     return {"kind": op[0], "edge": list(op[1])}
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` when obj is a JSON object holding a ``kind`` there."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise CertificationError(f"certificate json: {where} needs {kind.__name__} field {key!r}")
+    return value
+
+
 def _op_from_json(obj) -> MinorOp:
-    if obj["kind"] == "delete-vertex":
-        return ("delete-vertex", obj["vertex"])
-    return (obj["kind"], tuple(obj["edge"]))
+    kind = _field(obj, "kind", str, "op")
+    if kind == "delete-vertex":
+        return (kind, _field(obj, "vertex", int, "op"))
+    if kind in ("delete-edge", "contract-edge"):
+        return (kind, tuple(_field(obj, "edge", list, "op")))
+    raise CertificationError(f"certificate json: unknown op kind {kind!r}")
 
 
 def certificate_to_json(cert: ExclusionCertificate) -> str:
@@ -172,14 +183,27 @@ def certificate_to_json(cert: ExclusionCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> ExclusionCertificate:
-    obj = json.loads(text)
-    graph = graph_from_json(json.dumps(obj["graph"]))
-    surface = Surface(obj["surface"]["genus"], obj["surface"]["orientable"])
+    """Parse ``certificate_to_json`` output; a malformed certificate
+    raises ``CertificationError`` naming the field."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CertificationError(f"certificate json: {exc.msg} at byte {exc.pos}") from None
+    graph = graph_from_json(json.dumps(_field(obj, "graph", dict, "certificate")))
+    fields = _field(obj, "surface", dict, "certificate")
+    genus = _field(fields, "genus", int, "surface")
+    orientable = _field(fields, "orientable", bool, "surface")
+    try:
+        surface = Surface(genus, orientable)
+    except ValueError as exc:
+        raise CertificationError(f"certificate json: surface: {exc}") from None
     minors = []
-    for w in obj["minors"]:
-        op = _op_from_json(w["op"])
-        m = graph_from_json(json.dumps(w["minor"]))
-        embs = tuple(Embedding.from_json(json.dumps(e)) for e in w["witness"])
+    for w in _field(obj, "minors", list, "certificate"):
+        op = _op_from_json(_field(w, "op", dict, "minor"))
+        m = graph_from_json(json.dumps(_field(w, "minor", dict, "minor")))
+        embs = tuple(Embedding.from_json(json.dumps(e))
+                     for e in _field(w, "witness", list, "minor"))
         minors.append(MinorWitness(op, m, embs))
     return ExclusionCertificate(graph, surface, tuple(minors),
-                                obj["genus_of_G"], obj["search"])
+                                _field(obj, "genus_of_G", int, "certificate"),
+                                _field(obj, "search", dict, "certificate"))

@@ -164,9 +164,12 @@ class Embedding:
         if tree is None:
             tree = self.graph.spanning_tree()
         tset = {edge_key(*e) for e in tree}
-        if not _is_spanning_forest(self.graph, tset):
+        sub = self.graph.edge_subgraph(tset & self.graph.edge_set, self.graph.vertices)
+        count = len(self.graph.components())
+        # n - c edges of the graph that leave c components: a spanning forest
+        if sub.m != len(tset) or sub.m != sub.n - count or len(sub.components()) != count:
             raise EmbeddingError("normalize_signatures: not a spanning tree of the graph")
-        flips, _ = _switching(self.graph, {e: s < 0 for e, s in self.signature}, tset)
+        flips, _ = _switching(sub, {e: s < 0 for e, s in self.signature})
         flip = [v for v, f in flips.items() if f]
         return self.local_change_set(flip) if flip else self
 
@@ -336,30 +339,16 @@ class Embedding:
         return f"Embedding(graph={self.graph!r})"
 
 
-def _is_spanning_forest(graph: Graph, edges: set[Edge]) -> bool:
-    for e in edges:
-        if e not in graph.edge_set:
-            return False
-    want = graph.n - len(graph.components())
-    if len(edges) != want:
-        return False
-    sub = graph.edge_subgraph(edges, extra_vertices=graph.vertices)
-    return len(sub.components()) == len(graph.components())
+def _switching(graph: Graph, negative: Mapping[Edge, bool]) -> tuple[dict[int, bool], bool]:
+    """The local changes that make every edge of the graph positive.
 
-
-def _switching(graph: Graph, negative: Mapping[Edge, bool],
-               edges: Iterable[Edge] | None = None) -> tuple[dict[int, bool], bool]:
-    """The local changes that make the given edges positive.
-
-    Searches each component of the graph on ``edges`` (default: all
-    edges) from its least vertex, which stays; a vertex flips exactly
-    when the edge it is reached by is negative relative to the vertex it
-    comes from.  Returns the flip bit of each vertex and whether every
-    given edge ends up positive; the search stops at the first edge that
-    does not, so the flip bits are complete only when that is True.
+    Searches each component from its least vertex, which stays; a vertex
+    flips exactly when the edge it is reached by is negative relative to
+    the vertex it comes from.  Returns the flip bit of each vertex and
+    whether every edge ends up positive; the search stops at the first
+    edge that does not, so the flip bits are complete only when that is
+    True.  ``negative`` may also cover edges outside the graph.
     """
-    if edges is not None:
-        graph = graph.edge_subgraph(edges, extra_vertices=graph.vertices)
     adj = graph._adj
     flips: dict[int, bool] = {}
     for root in graph.vertices:

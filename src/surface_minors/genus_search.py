@@ -31,12 +31,20 @@ twice the final face count.  Orientable Euler genus is even, so on the
 all-positive pattern a child survives only if its bound is at least 2
 below the incumbent, on the other patterns at least 1.
 
+Each side holds a witness from the start, and its genus is the
+incumbent that the bound prunes against.  The orientable side starts
+from the default embedding; the nonorientable side starts from the
+orientable incumbent with one cotree edge twisted, which makes that
+edge's fundamental cycle one-sided.  A pattern's search replaces the
+incumbent only with a strictly better witness, so the minima stay
+witnessed upper bounds at every point, exact once the sweep ends.
+
 No embedding has more than 2m // min_face faces, which gives a floor on
 the Euler genus: that bound rounded up to even and at least 0 on the
-orientable side, at least 1 on the nonorientable side.  A pattern's
-search stops once its incumbent meets the floor, and the sweep skips
-the remaining nonorientable patterns once the nonorientable minimum
-meets it.  The budget counts child evaluations, the unit of work.
+orientable side, at least 1 on the nonorientable side.  A side whose
+incumbent meets its floor is searched no further: a pattern's search
+stops there, and the sweep skips the remaining nonorientable patterns.
+The budget counts child evaluations, the unit of work.
 
 The pruning is verified against an unpruned oracle in the test suite on
 every connected graph with at most eight edges.
@@ -162,24 +170,7 @@ class _SearchSpace:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        # BFS vertex order from the smallest vertex (graph is connected)
-        order = []
-        seen = set()
-        for root in graph.vertices:
-            if root in seen:
-                continue
-            seen.add(root)
-            queue = [root]
-            while queue:
-                order.extend(queue)
-                nxt = []
-                for u in queue:
-                    for w in graph.neighbors(u):
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                queue = nxt
-        self.vertex_order = order
+        order = self.vertex_order = graph.bfs[0]
         self.rotations = {v: rotations([dart(graph, v, w) for w in graph.neighbors(v)],
                                        fixed=(i == 0))
                           for i, v in enumerate(order)}
@@ -340,11 +331,11 @@ def _rotation_dict(graph: Graph, rot: dict[int, tuple[int, ...]]) -> dict[int, l
 
 
 def _sign_patterns(beta: int):
-    """Every cotree sign pattern of length ``beta``, lazily, by number of
-    negative signs and then in ``itertools.product((1, -1))`` order: the
-    positive positions run through ``combinations`` in lexicographic
-    order."""
-    for k in range(beta + 1):
+    """Every nonorientable cotree sign pattern of length ``beta``, lazily,
+    by number of negative signs and then in ``itertools.product((1, -1))``
+    order: the positive positions run through ``combinations`` in
+    lexicographic order."""
+    for k in range(1, beta + 1):
         for positive in itertools.combinations(range(beta), beta - k):
             pattern = [-1] * beta
             for i in positive:
@@ -356,9 +347,15 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     """Exact minimum Euler genus over orientable and over nonorientable
     embeddings of a connected graph, with witnesses.
 
-    Runs branch-and-bound over rotations inside an exhaustive loop over
-    cotree signature patterns.  Exceeding the budget yields an inexact
-    profile (never a silent guess).
+    Each side holds a (genus, witness) incumbent from the start: the
+    orientable side the default embedding, the nonorientable side the
+    orientable incumbent with its first cotree edge twisted, once the
+    orientable search has ended.  The orientable side runs branch and
+    bound on the all-positive pattern, the nonorientable side on each
+    other cotree pattern in turn; each search replaces its incumbent only
+    with a strictly better witness, and a side whose incumbent meets its
+    floor is not searched further.  Exceeding the budget yields an
+    inexact profile of witnessed upper bounds (never a silent guess).
     """
     if not graph.is_connected():
         raise GraphError("min_euler_genus: graph must be connected "
@@ -371,70 +368,49 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     space = _SearchSpace(graph)
     tree = set(graph.spanning_tree())
     cotree = [e for e in graph.edges if e not in tree]
-
     counter = [0]
-    orient_best = None
-    orient_rot = None
-    nonor_best = None
-    nonor_rot = None
-    nonor_sig = None
     exact = True
+
+    def improve(incumbent: tuple[int, Embedding], signature: dict[Edge, int],
+                floor: int) -> tuple[int, Embedding]:
+        """The incumbent, or the strictly better witness that the search
+        of the signature's pattern finds."""
+        found, rot = _search_pattern(space, signature, incumbent[0], floor, counter, budget)
+        if rot is None:
+            return incumbent
+        return found, Embedding.build(graph, _rotation_dict(graph, rot), signature)
 
     # no embedding has more than 2m // min_face faces
     low = 2 - graph.n + graph.m - 2 * graph.m // space.min_face
     orient_floor = max(0, low + low % 2)
     nonor_floor = max(1, low)
+    emb = Embedding.build(graph)
+    orient = (emb.euler_genus(), emb)
     try:
-        for pattern in _sign_patterns(len(cotree)):
-            orientable = all(s > 0 for s in pattern)
-            if not orientable and nonor_best == nonor_floor:
-                break
-            signature = {e: 1 for e in graph.edges}
-            for e, s in zip(cotree, pattern):
-                signature[e] = s
-            start = (orient_best if orientable else nonor_best)
-            cap = 2 * (len(cotree) + 1) + 2  # any embedding beats this
-            found, rot = _search_pattern(space, signature,
-                                         start if start is not None else cap,
-                                         orient_floor if orientable else nonor_floor,
-                                         counter, budget)
-            if rot is not None:
-                if orientable:
-                    orient_best, orient_rot = found, rot
-                else:
-                    nonor_best, nonor_rot, nonor_sig = found, rot, signature
+        if orient[0] > orient_floor:
+            orient = improve(orient, dict.fromkeys(graph.edges, 1), orient_floor)
     except BudgetExceeded:
         exact = False
-
-    if orient_best is None:
-        # all-positive pattern always yields some embedding unless the
-        # budget died before finishing it; fall back to the default
-        emb = Embedding.build(graph)
-        orient_best = emb.euler_genus()
-        orient_wit = emb
-        exact = False
-    else:
-        orient_wit = Embedding.build(graph, _rotation_dict(graph, orient_rot))
-
-    nonor_wit = None
-    if nonor_best is not None:
-        nonor_wit = Embedding.build(graph, _rotation_dict(graph, nonor_rot),
-                                    {e: s for e, s in nonor_sig.items()})
-    elif cotree and exact:
-        raise SearchCheckError("nonorientable pattern sweep found no embedding")
-    elif cotree:
-        # the budget ran out before any nonorientable pattern finished:
-        # a negative cotree edge makes its fundamental cycle one-sided,
-        # so the orientable witness with one flipped sign bounds the
-        # nonorientable minimum from above
-        nonor_wit = Embedding.build(graph, orient_wit.rot, {cotree[0]: -1})
-        nonor_best = nonor_wit.euler_genus()
+    nonor = (None, None)
+    if cotree:
+        # a negative cotree edge makes its fundamental cycle one-sided
+        emb = Embedding.build(graph, orient[1].rot, {cotree[0]: -1})
+        nonor = (emb.euler_genus(), emb)
+        try:
+            for pattern in _sign_patterns(len(cotree)):
+                if not exact or nonor[0] <= nonor_floor:
+                    break
+                signature = dict.fromkeys(graph.edges, 1)
+                signature.update(zip(cotree, pattern))
+                nonor = improve(nonor, signature, nonor_floor)
+        except BudgetExceeded:
+            exact = False
 
     profile = GenusProfile(
-        orientable_min=orient_best,
-        nonorientable_min=nonor_best,
-        orientable_witness=orient_wit,
-        nonorientable_witness=nonor_wit,
+        orientable_min=orient[0],
+        nonorientable_min=nonor[0],
+        orientable_witness=orient[1],
+        nonorientable_witness=nonor[1],
         exact=exact,
         explored=counter[0],
     )

@@ -137,9 +137,12 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def spanning_tree(self) -> tuple[Edge, ...]:
-        """BFS spanning tree (forest for disconnected graphs), rooted at the
-        smallest vertex id of each component.  Deterministic."""
+    @cached_property
+    def bfs(self) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
+        """Level-order BFS from the smallest vertex id of each component:
+        the visiting order and the sorted tree edges (a spanning forest).
+        Deterministic."""
+        order: list[int] = []
         tree: list[Edge] = []
         seen: set[int] = set()
         for root in self.vertices:
@@ -148,6 +151,7 @@ class Graph:
             seen.add(root)
             queue = [root]
             while queue:
+                order.extend(queue)
                 nxt: list[int] = []
                 for u in queue:
                     for w in self._adj[u]:
@@ -156,7 +160,11 @@ class Graph:
                             tree.append(edge_key(u, w))
                             nxt.append(w)
                 queue = nxt
-        return tuple(sorted(tree))
+        return tuple(order), tuple(sorted(tree))
+
+    def spanning_tree(self) -> tuple[Edge, ...]:
+        """The BFS spanning tree (forest for disconnected graphs) of ``bfs``."""
+        return self.bfs[1]
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest.  A BFS from
@@ -396,22 +404,12 @@ def apply_minor_op(graph: Graph, op: MinorOp) -> Graph:
     raise GraphError(f"unknown minor operation {kind!r}")
 
 
-def one_step_minors(graph: Graph, dedup: bool = False) -> list[tuple[MinorOp, Graph]]:
-    """All graphs one minor operation away.
-
-    With ``dedup`` the list keeps one representative per (operation kind,
-    isomorphism class) pair; representatives follow enumeration order, so
-    the output is deterministic.
-    """
-    by_kind = (
-        [(("delete-vertex", v), delete_vertex(graph, v)) for v in graph.vertices],
-        [(("delete-edge", e), delete_edge(graph, *e)) for e in graph.edges],
-        [(("contract-edge", e), contract_edge(graph, *e)) for e in graph.edges],
-    )
-    if dedup:
-        by_kind = [[ops[cls[0]] for cls in group_isomorphic([g for _, g in ops])]
-                   for ops in by_kind]
-    return [x for ops in by_kind for x in ops]
+def one_step_minors(graph: Graph) -> list[tuple[MinorOp, Graph]]:
+    """All graphs one minor operation away: vertex deletions, then edge
+    deletions, then edge contractions."""
+    return ([(("delete-vertex", v), delete_vertex(graph, v)) for v in graph.vertices]
+            + [(("delete-edge", e), delete_edge(graph, *e)) for e in graph.edges]
+            + [(("contract-edge", e), contract_edge(graph, *e)) for e in graph.edges])
 
 
 # ---------------------------------------------------------------------------

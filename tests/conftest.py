@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from surface_minors.graph import Graph
+from surface_minors.graph import Graph, group_isomorphic, one_step_minors
 from surface_minors.embedding import Embedding
 from surface_minors.corpus import (complete, complete_bipartite, cycle_graph,  # noqa: F401
                                    path_graph, torus_grid, wheel)
@@ -17,6 +18,16 @@ def grid(rows: int, cols: int) -> Graph:
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
     return Graph.build(range(rows * cols), edges)
+
+
+def minors_per_class(graph: Graph) -> list:
+    """The first one-step minor of each (operation kind, isomorphism
+    class) pair, in enumeration order."""
+    out = []
+    for _, ops in itertools.groupby(one_step_minors(graph), key=lambda pair: pair[0][0]):
+        ops = list(ops)
+        out += [ops[cls[0]] for cls in group_isomorphic([m for _, m in ops])]
+    return out
 
 
 def petersen() -> Graph:

@@ -1,12 +1,14 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from surface_minors.graph import Graph
 from surface_minors.embedding import Embedding
 from surface_minors.genus_search import Surface, embeddable_in
-from surface_minors.certify import (MinorWitness, certificate_from_json, certificate_to_json,
-                                    certify_excluded_minor, check_genus_range,
-                                    verify_certificate)
+from surface_minors.certify import (CertificationError, MinorWitness, certificate_from_json,
+                                    certificate_to_json, certify_excluded_minor,
+                                    check_genus_range, verify_certificate)
 from surface_minors.bounds import check_superadditive, constants
 from conftest import complete, complete_bipartite
 
@@ -89,6 +91,29 @@ def test_tampered_certificate_rejected():
     bad = certificate_from_json(json.dumps(obj))
     ok, why = verify_certificate(bad)
     assert not ok and "genus" in why
+
+
+def _k5_certificate_json(edit) -> str:
+    obj = json.loads(certificate_to_json(certify_excluded_minor(complete(5), SPHERE).certificate))
+    edit(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: "{}", "'graph'"),
+    (lambda: "[]", "'graph'"),
+    (lambda: "nope", "byte 0"),
+    (lambda: '"nope"', "'graph'"),
+    (lambda: _k5_certificate_json(lambda obj: obj.pop("surface")), "'surface'"),
+    (lambda: _k5_certificate_json(lambda obj: obj["minors"][0].pop("op")),
+     "minor needs dict field 'op'"),
+    (lambda: _k5_certificate_json(lambda obj: obj["minors"][0]["op"].update(kind="subdivide")),
+     "unknown op kind 'subdivide'"),
+], ids=["empty-object", "list", "not-json", "json-string", "no-surface", "minor-without-op",
+        "unknown-op"])
+def test_malformed_certificate_names_the_field(make, field):
+    with pytest.raises(CertificationError, match=field):
+        certificate_from_json(make())
 
 
 def test_certificate_with_missing_minor_rejected():

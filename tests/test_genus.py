@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surface_minors import genus_search
-from surface_minors.graph import Graph, GraphError, one_step_minors
+from surface_minors.embedding import Embedding
+from surface_minors.graph import Graph, GraphError
 from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, Surface, _FaceTracker,
                                          _SearchSpace, _sign_patterns, cached_profile,
                                          combined_minima, default_budget, embeddable_in,
                                          genus_via_blocks, min_euler_genus)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph, petersen, wheel
+from conftest import (complete, complete_bipartite, cycle_graph, grid, minors_per_class, path_graph,
+                      petersen, wheel)
 from oracles import (all_rotation_signatures, connected_graphs_up_to,
                      naive_face_count, naive_genus, naive_is_orientable,
                      naive_orbit_lengths, unpruned_min_genus)
@@ -85,7 +87,7 @@ def test_minor_monotonicity_random_small():
     graphs = [g for g in connected_graphs_up_to(7) if g.m >= 2]
     for g in rng.sample(graphs, 12):
         base = cached_profile(g).overall_min
-        for _, m in one_step_minors(g, dedup=True):
+        for _, m in minors_per_class(g):
             for comp in m.components():
                 sub = m.subgraph(comp)
                 assert cached_profile(sub).overall_min <= base
@@ -171,7 +173,7 @@ SURFACES = (Surface(0, True), Surface(1, False), Surface(2, True), Surface(2, Fa
        st.sampled_from(("disjoint", "bridge", "cutvertex")))
 def test_embeddability_minor_monotone(a, b, how):
     g = join(PARTS[a], PARTS[b], how)
-    minors = one_step_minors(g, dedup=True)
+    minors = minors_per_class(g)
     for surface in SURFACES:
         if embeddable_in(g, surface).embeddable:
             for op, m in minors:
@@ -306,38 +308,66 @@ def test_sweep_stops_at_the_nonorientable_floor(monkeypatch):
 
     def recording(space, signature, best_start, floor, counter, budget):
         found, rot = real(space, signature, best_start, floor, counter, budget)
-        calls.append((all(s > 0 for s in signature.values()), floor, found, rot is not None))
+        calls.append((all(s > 0 for s in signature.values()), best_start, floor, found,
+                      rot is not None))
         return found, rot
 
     monkeypatch.setattr(genus_search, "_search_pattern", recording)
-    planar = [wheel(5), cube(), complete(4), cycle_graph(6)]
+    planar = [wheel(5), cube(), complete(4), cycle_graph(6), grid(4, 5)]
     # two K3,3 at a cutvertex: nonorientable minimum 2, above the floor 1
     above_floor = join(PARTS["K3,3"], PARTS["K3,3"], "cutvertex")
     for g in planar + [complete(5), complete_bipartite(3, 4), petersen(), above_floor]:
         calls.clear()
         prof = min_euler_genus(g)
         assert prof.exact
-        assert calls[0][0] and not any(orientable for orientable, *_ in calls[1:])
-        nonor = [(floor, found, improved) for _, floor, found, improved in calls[1:]]
-        # the floor is a lower bound, and the sweep ends at the first
-        # pattern that meets it, or else searches every pattern
-        assert all(floor <= prof.nonorientable_min for floor, _, _ in nonor)
-        hits = [i for i, (floor, found, improved) in enumerate(nonor)
+        # at most one orientable search, before every nonorientable one
+        orient = [call for call in calls if call[0]]
+        assert len(orient) <= 1 and calls[:len(orient)] == orient
+        nonor = [call[1:] for call in calls[len(orient):]]
+        tree = set(g.spanning_tree())
+        cotree = [e for e in g.edges if e not in tree]
+        twisted = Embedding.build(g, prof.orientable_witness.rot, {cotree[0]: -1}).euler_genus()
+        low = 2 - g.n + g.m - 2 * g.m // _SearchSpace(g).min_face
+        floor = max(1, low)
+        assert floor <= prof.nonorientable_min <= twisted
+        # every search starts at the incumbent, at or below the twisted
+        # witness, and replaces it only with a strictly better one
+        incumbent = twisted
+        for start, search_floor, found, improved in nonor:
+            assert start == incumbent and search_floor == floor
+            if improved:
+                assert found < start
+                incumbent = found
+        assert incumbent == prof.nonorientable_min
+        # the sweep ends at the first pattern that meets the floor, or
+        # else searches every pattern; none when the twisted witness
+        # already meets it
+        hits = [i for i, (_, _, found, improved) in enumerate(nonor)
                 if improved and found == floor]
         cotree_rank = g.m - g.n + 1
-        assert hits == [len(nonor) - 1] or (not hits and len(nonor) == 2 ** cotree_rank - 1)
+        if twisted == floor:
+            assert not nonor
+        else:
+            assert hits == [len(nonor) - 1] or (not hits and len(nonor) == 2 ** cotree_rank - 1)
         if g in planar:
-            assert prof.nonorientable_min == 1 and len(nonor) == 1
-    assert prof.nonorientable_min == 2 and not hits
+            assert prof.nonorientable_min == 1 and not nonor
+    assert prof.nonorientable_min == 2 and not hits and nonor
 
+
+def test_planar_grid_needs_no_nonorientable_search():
+    # the twisted orientable witness meets the nonorientable floor 1
+    prof = min_euler_genus(grid(5, 6))
+    assert (prof.orientable_min, prof.nonorientable_min) == (0, 1) and prof.exact
+    assert prof.explored < 100_000
 
 
 def test_sign_patterns_follow_the_sorted_product():
-    # the sweep's lazy order is the product sorted by count of negatives
+    # the sweep's lazy order is the product sorted by count of negatives,
+    # less the all-positive pattern, which the orientable search covers
     for beta in range(13):
         expected = sorted(itertools.product((1, -1), repeat=beta),
                           key=lambda p: sum(1 for s in p if s < 0))
-        assert list(_sign_patterns(beta)) == expected
+        assert list(_sign_patterns(beta)) == expected[1:]
 
 
 def test_witness_check_survives_optimize():
@@ -355,7 +385,8 @@ def test_witness_check_survives_optimize():
         gs._search_pattern = corrupted
         print("debug", __debug__)
         try:
-            gs.min_euler_genus(Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]))
+            # K5's default embedding has Euler genus 4, so the search runs
+            gs.min_euler_genus(Graph.build(range(5), [(a, b) for a in range(5) for b in range(a)]))
         except gs.SearchCheckError as exc:
             print("SearchCheckError", exc)
             sys.exit(0)

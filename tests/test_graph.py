@@ -10,7 +10,8 @@ from surface_minors.graph import (Graph, GraphError, _Refined, apply_minor_op, b
                                   dedupe_isomorphic, graph6_decode, graph6_encode,
                                   graph_from_json, graph_to_json, group_isomorphic,
                                   is_isomorphic, one_step_minors, parse_graph)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph, petersen
+from conftest import (complete, complete_bipartite, cycle_graph, minors_per_class, path_graph,
+                      petersen)
 from oracles import adjacency_contract, vf2_classes
 
 
@@ -69,7 +70,7 @@ def test_one_step_minors_k3_counts():
 
 
 def test_one_step_minors_k5_dedup_three_classes():
-    out = one_step_minors(complete(5), dedup=True)
+    out = minors_per_class(complete(5))
     assert len(out) == 3
     kinds = sorted(op[0] for op, _ in out)
     assert kinds == ["contract-edge", "delete-edge", "delete-vertex"]
