@@ -19,7 +19,7 @@ from .embedding import Embedding
 from .genus_search import Surface, combined_minima, default_budget, embeddable_in
 
 
-PRUNING_VERSION = "walk-face-bound-floor-parity-warm-v4"
+PRUNING_VERSION = "walk-face-bound-floor-parity-warm-signs-v5"
 
 
 class CertificationError(ValueError):

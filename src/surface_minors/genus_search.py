@@ -1,11 +1,16 @@
 """Exact minimum Euler genus by pruned exhaustive search.
 
-The search space is the product of rotation systems with the cotree
-signature patterns of a fixed spanning tree (every embedding is
-equivalent to one with positive tree signatures, and the all-positive
-pattern covers exactly the orientable classes).  Rotations are assigned
-vertex by vertex in BFS order; the rotation of the start vertex is only
-enumerated up to reversal, which quotients the global mirror symmetry.
+Every embedding is equivalent to one with positive spanning-tree edges,
+which is orientable exactly when its cotree edges are positive too.  So
+each side of the genus profile is one search over rotations and cotree
+signs, all positive on the orientable side and any other pattern on the
+nonorientable side.  Vertices are placed in BFS order; a child is one
+rotation at the next vertex plus one sign choice for the cotree edges
+whose first endpoint it is, so sign patterns with a common prefix share
+the search above it.  The nonorientable side tries negative signs first
+and drops an all-positive branch once every sign is chosen.  The start
+vertex's rotation is enumerated only up to reversal, which quotients
+the global mirror symmetry.
 
 Faces are built incrementally, face by face as in G. Brinkmann, "A
 practical algorithm for the computation of the genus" (Ars Math.
@@ -28,23 +33,23 @@ a union of current open walks holding at least min_face states, so
 there are at most (sum over open walks of min(length, min_face)) //
 min_face of them; with the orbits already closed this overestimates
 twice the final face count.  Orientable Euler genus is even, so on the
-all-positive pattern a child survives only if its bound is at least 2
-below the incumbent, on the other patterns at least 1.
+orientable side a child survives only if its bound is at least 2 below
+the incumbent, on the nonorientable side at least 1.
 
 Each side holds a witness from the start, and its genus is the
 incumbent that the bound prunes against.  The orientable side starts
 from the default embedding; the nonorientable side starts from the
 orientable incumbent with one cotree edge twisted, which makes that
-edge's fundamental cycle one-sided.  A pattern's search replaces the
-incumbent only with a strictly better witness, so the minima stay
-witnessed upper bounds at every point, exact once the sweep ends.
+edge's fundamental cycle one-sided.  A search replaces the incumbent
+only with a strictly better witness, so the minima stay witnessed upper
+bounds at every point, exact once the search ends.
 
 No embedding has more than 2m // min_face faces, which gives a floor on
 the Euler genus: that bound rounded up to even and at least 0 on the
-orientable side, at least 1 on the nonorientable side.  A side whose
-incumbent meets its floor is searched no further: a pattern's search
-stops there, and the sweep skips the remaining nonorientable patterns.
-The budget counts child evaluations, the unit of work.
+orientable side, at least 1 on the nonorientable side.  A side's search
+stops as soon as its incumbent meets its floor, and does not start when
+the warm start meets it.  The budget counts child evaluations, the unit
+of work.
 
 The pruning is verified against an unpruned oracle in the test suite on
 every connected graph with at most eight edges.
@@ -163,10 +168,10 @@ class GenusProfile:
 
 
 class _SearchSpace:
-    """BFS vertex order, rotation lists and face-length bound for one
-    graph, reused across all signature patterns.  Rotations are tuples
-    of out-darts and states are numbered as in the dart kernel of
-    ``embedding``."""
+    """BFS vertex order, rotation lists, cotree and face-length bound
+    for one graph, shared by both sides of the search.  Rotations are
+    tuples of out-darts, states are numbered as in the dart kernel of
+    ``embedding``, and cotree edges by their index in ``graph.edges``."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -174,6 +179,18 @@ class _SearchSpace:
         self.rotations = {v: rotations([dart(graph, v, w) for w in graph.neighbors(v)],
                                        fixed=(i == 0))
                           for i, v in enumerate(order)}
+        tree = set(graph.bfs[1])
+        self.cotree = [k for k, e in enumerate(graph.edges) if e not in tree]
+        # per vertex index: the cotree edges at it, and those it signs
+        # (whose first endpoint in the order it is) with their sign
+        # choices, negative first and so all positive last
+        position = {v: i for i, v in enumerate(order)}
+        self.incident = [[k for k in self.cotree if v in graph.edges[k]] for v in order]
+        self.signs = [[k for k in ks if min(position[u] for u in graph.edges[k]) == i]
+                      for i, ks in enumerate(self.incident)]
+        self.signings = [list(itertools.product((True, False), repeat=len(ks)))
+                         for ks in self.signs]
+        self.options_cache: dict[tuple, tuple] = {}
         # a lower bound on every face length (see the module docstring)
         if graph.m < 2:
             self.min_face = 2
@@ -186,6 +203,15 @@ class _SearchSpace:
         """Each rotation at v with the (state, successor) pairs it fixes
         under the edge signs ``neg``."""
         return tuple((rot, successor_pairs(rot, neg)) for rot in self.rotations[v])
+
+    def options(self, idx: int, neg: list[bool]) -> tuple[tuple[tuple[int, ...], list], ...]:
+        """``choices`` at vertex index ``idx``, cached by the signs of its
+        cotree edges (tree edges are positive)."""
+        key = (idx, tuple([neg[k] for k in self.incident[idx]]))
+        hit = self.options_cache.get(key)
+        if hit is None:
+            hit = self.options_cache[key] = self.choices(self.vertex_order[idx], neg)
+        return hit
 
 
 class _FaceTracker:
@@ -255,92 +281,80 @@ class _FaceTracker:
 
 
 class _FloorReached(Exception):
-    """The incumbent of ``_search_pattern`` met the floor; no leaf can
-    beat it."""
+    """The incumbent of ``_search`` met the floor; no leaf can beat it."""
 
 
-def _search_pattern(space: _SearchSpace, signature: dict[Edge, int], best_start: int,
-                    floor: int, counter: list[int], budget: int) -> tuple[int, dict | None]:
-    """Branch and bound over rotations for one fixed signature pattern.
-    Returns (best genus found, rotation dict of a witness) with genus
-    taken below ``best_start`` only, and stops as soon as it reaches
-    ``floor``, a lower bound on every leaf of the pattern.
-
-    Placing the rotation at a vertex links the successor of every state
-    entering it, so each child costs O(deg v), not a re-trace of all 4m
-    states.  ``counter`` counts these child evaluations against
-    ``budget``.
+def _search(space: _SearchSpace, orientable: bool, best_start: int, floor: int,
+            counter: list[int], budget: int) -> tuple[int, dict | None, list[Edge] | None, bool]:
+    """Branch and bound over rotations and cotree signs on one side.
+    Returns (genus, rotation, negative cotree edges, ended): the best
+    genus found below ``best_start`` with the witness of a leaf that has
+    it (None, None when no leaf did), stopping at ``floor``, a lower
+    bound on every leaf of the side.  ``ended`` is False when the budget
+    ran out; the witness found until then is kept.  ``counter`` counts
+    child evaluations against ``budget``; placing the rotation at a
+    vertex links the successor of every state entering it, so each child
+    costs O(deg v), not a re-trace of all 4m states.
     """
-    neg = [signature[e] < 0 for e in space.graph.edges]
-    order = space.vertex_order
+    graph, order, min_face = space.graph, space.vertex_order, space.min_face
+    signs, signings, options = space.signs, space.signings, space.options
     n = len(order)
-    m = space.graph.m
-    base = 2 - n + m  # Euler genus = base - faces
-    min_face = space.min_face
-    # on the all-positive pattern every leaf is orientable, so even
-    step = 2 if not any(neg) else 1
-    faces = _FaceTracker(4 * m, min_face)
+    base = 2 - n + graph.m  # Euler genus = base - faces
+    last = max((i for i, ks in enumerate(signs) if ks), default=-1)  # the last signing vertex
+    step = 2 if orientable else 1  # every orientable leaf has even Euler genus
+    faces = _FaceTracker(4 * graph.m, min_face)
     link, unlink = faces.link, faces.unlink
-    options_at: list[tuple | None] = [None] * n  # per vertex, built on first visit
-    best = best_start
-    best_rot: dict | None = None
+    neg = [False] * graph.m
+    best, witness = best_start, (None, None)
     # a child survives when its bound base - (orbits + walk_sum // min_face) // 2
     # is at most best - step, that is when orbits + walk_sum // min_face >= need
     need = 2 * (base - best + step)
     chosen: list[tuple[int, ...]] = [()] * n
 
-    def rec(idx: int):
-        nonlocal best, best_rot, need
+    def rec(idx: int, negatives: int):
+        nonlocal best, witness, need
         if idx == n:
             if faces.orbits % 2:
                 raise SearchCheckError(f"odd number of facial orbits ({faces.orbits})")
             genus = base - faces.orbits // 2
             if genus < best:
                 best = genus
-                best_rot = dict(zip(order, chosen))
+                witness = ({v: [w for _, w in dart_ends(graph, r)] for v, r in zip(order, chosen)},
+                           [graph.edges[k] for k in space.cotree if neg[k]])
                 if best <= floor:
                     raise _FloorReached
                 need = 2 * (base - best + step)
             return
-        options = options_at[idx]
-        if options is None:
-            options = options_at[idx] = space.choices(order[idx], neg)
-        for rot, pairs in options:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded("rotation search budget exhausted", counter[0])
-            link(pairs)
-            # each face is two orbits, one per sense; every future orbit
-            # joins open walks holding at least min_face states, so there
-            # are at most walk_sum // min_face of them
-            if faces.orbits + faces.walk_sum // min_face >= need:
-                chosen[idx] = rot
-                rec(idx + 1)
-            unlink(pairs)
+        if orientable:
+            choices = signings[idx][-1:]
+        elif idx == last and not negatives:
+            choices = signings[idx][:-1]  # all positive: every leaf below is orientable
+        else:
+            choices = signings[idx]
+        for signed in choices:
+            for k, s in zip(signs[idx], signed):
+                neg[k] = s
+            below = negatives + sum(signed)
+            for rot, pairs in options(idx, neg):
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise BudgetExceeded("rotation search budget exhausted", counter[0])
+                link(pairs)
+                # each face is two orbits, one per sense; every future orbit
+                # joins open walks holding at least min_face states, so there
+                # are at most walk_sum // min_face of them
+                if faces.orbits + faces.walk_sum // min_face >= need:
+                    chosen[idx] = rot
+                    rec(idx + 1, below)
+                unlink(pairs)
 
     try:
-        rec(0)
+        rec(0, 0)
     except _FloorReached:
         pass
-    return best, best_rot
-
-
-def _rotation_dict(graph: Graph, rot: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
-    """Dart rotations as neighbour rotations."""
-    return {v: [w for _, w in dart_ends(graph, ds)] for v, ds in rot.items()}
-
-
-def _sign_patterns(beta: int):
-    """Every nonorientable cotree sign pattern of length ``beta``, lazily,
-    by number of negative signs and then in ``itertools.product((1, -1))``
-    order: the positive positions run through ``combinations`` in
-    lexicographic order."""
-    for k in range(1, beta + 1):
-        for positive in itertools.combinations(range(beta), beta - k):
-            pattern = [-1] * beta
-            for i in positive:
-                pattern[i] = 1
-            yield tuple(pattern)
+    except BudgetExceeded:
+        return best, *witness, False
+    return best, *witness, True
 
 
 def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
@@ -350,12 +364,12 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     Each side holds a (genus, witness) incumbent from the start: the
     orientable side the default embedding, the nonorientable side the
     orientable incumbent with its first cotree edge twisted, once the
-    orientable search has ended.  The orientable side runs branch and
-    bound on the all-positive pattern, the nonorientable side on each
-    other cotree pattern in turn; each search replaces its incumbent only
-    with a strictly better witness, and a side whose incumbent meets its
-    floor is not searched further.  Exceeding the budget yields an
-    inexact profile of witnessed upper bounds (never a silent guess).
+    orientable search has ended.  Then one search per side, over
+    rotations and cotree signs (``_search``), replaces the incumbent only
+    with a strictly better witness; a side whose incumbent meets its
+    floor is not searched.  Exceeding the budget yields an inexact
+    profile of witnessed upper bounds (never a silent guess), keeping
+    every witness found until then.
     """
     if not graph.is_connected():
         raise GraphError("min_euler_genus: graph must be connected "
@@ -366,19 +380,19 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
         emb = Embedding.build(graph)
         return GenusProfile(0, None, emb, None)
     space = _SearchSpace(graph)
-    tree = set(graph.spanning_tree())
-    cotree = [e for e in graph.edges if e not in tree]
     counter = [0]
     exact = True
 
-    def improve(incumbent: tuple[int, Embedding], signature: dict[Edge, int],
+    def improve(incumbent: tuple[int, Embedding], orientable: bool,
                 floor: int) -> tuple[int, Embedding]:
-        """The incumbent, or the strictly better witness that the search
-        of the signature's pattern finds."""
-        found, rot = _search_pattern(space, signature, incumbent[0], floor, counter, budget)
+        """The incumbent, or the better witness that the side's search finds."""
+        nonlocal exact
+        found, rot, negative, ended = _search(space, orientable, incumbent[0], floor,
+                                              counter, budget)
+        exact = exact and ended
         if rot is None:
             return incumbent
-        return found, Embedding.build(graph, _rotation_dict(graph, rot), signature)
+        return found, Embedding.build(graph, rot, dict.fromkeys(negative, -1))
 
     # no embedding has more than 2m // min_face faces
     low = 2 - graph.n + graph.m - 2 * graph.m // space.min_face
@@ -386,34 +400,17 @@ def min_euler_genus(graph: Graph, budget: int | None = None) -> GenusProfile:
     nonor_floor = max(1, low)
     emb = Embedding.build(graph)
     orient = (emb.euler_genus(), emb)
-    try:
-        if orient[0] > orient_floor:
-            orient = improve(orient, dict.fromkeys(graph.edges, 1), orient_floor)
-    except BudgetExceeded:
-        exact = False
+    if orient[0] > orient_floor:
+        orient = improve(orient, True, orient_floor)
     nonor = (None, None)
-    if cotree:
+    if space.cotree:
         # a negative cotree edge makes its fundamental cycle one-sided
-        emb = Embedding.build(graph, orient[1].rot, {cotree[0]: -1})
+        emb = Embedding.build(graph, orient[1].rot, {graph.edges[space.cotree[0]]: -1})
         nonor = (emb.euler_genus(), emb)
-        try:
-            for pattern in _sign_patterns(len(cotree)):
-                if not exact or nonor[0] <= nonor_floor:
-                    break
-                signature = dict.fromkeys(graph.edges, 1)
-                signature.update(zip(cotree, pattern))
-                nonor = improve(nonor, signature, nonor_floor)
-        except BudgetExceeded:
-            exact = False
+        if exact and nonor[0] > nonor_floor:
+            nonor = improve(nonor, False, nonor_floor)
 
-    profile = GenusProfile(
-        orientable_min=orient[0],
-        nonorientable_min=nonor[0],
-        orientable_witness=orient[1],
-        nonorientable_witness=nonor[1],
-        exact=exact,
-        explored=counter[0],
-    )
+    profile = GenusProfile(orient[0], nonor[0], orient[1], nonor[1], exact, counter[0])
     if profile.orientable_min % 2:
         raise SearchCheckError("orientable Euler genus must be even")
     _check_witnesses(profile)
@@ -509,7 +506,8 @@ def profile_via_blocks(graph: Graph, budget: int | None = None) -> GenusProfile:
     orient_wit = _merge_at_cutvertices(graph, _witnesses(profs))
     nonor_wit = None if choice is None else _merge_at_cutvertices(graph, _witnesses(profs, choice))
     prof = GenusProfile(orient, nonor, orient_wit, nonor_wit,
-                        exact=all(p.exact for p in profs))
+                        exact=all(p.exact for p in profs),
+                        explored=sum(p.explored for p in profs))
     _check_witnesses(prof)
     return prof
 

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -13,7 +12,7 @@ from surface_minors import genus_search
 from surface_minors.embedding import Embedding
 from surface_minors.graph import Graph, GraphError
 from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, Surface, _FaceTracker,
-                                         _SearchSpace, _sign_patterns, cached_profile,
+                                         _SearchSpace, cached_profile,
                                          combined_minima, default_budget, embeddable_in,
                                          genus_via_blocks, min_euler_genus)
 from conftest import (complete, complete_bipartite, cycle_graph, grid, minors_per_class, path_graph,
@@ -302,17 +301,16 @@ def test_girth_bound_prunes_more_with_same_answers(monkeypatch):
         assert prof.explored < plain.explored
 
 
-def test_sweep_stops_at_the_nonorientable_floor(monkeypatch):
+def test_one_search_per_side(monkeypatch):
     calls = []
-    real = genus_search._search_pattern
+    real = genus_search._search
 
-    def recording(space, signature, best_start, floor, counter, budget):
-        found, rot = real(space, signature, best_start, floor, counter, budget)
-        calls.append((all(s > 0 for s in signature.values()), best_start, floor, found,
-                      rot is not None))
-        return found, rot
+    def recording(space, orientable, best_start, floor, counter, budget):
+        result = real(space, orientable, best_start, floor, counter, budget)
+        calls.append((orientable, best_start, floor, result))
+        return result
 
-    monkeypatch.setattr(genus_search, "_search_pattern", recording)
+    monkeypatch.setattr(genus_search, "_search", recording)
     planar = [wheel(5), cube(), complete(4), cycle_graph(6), grid(4, 5)]
     # two K3,3 at a cutvertex: nonorientable minimum 2, above the floor 1
     above_floor = join(PARTS["K3,3"], PARTS["K3,3"], "cutvertex")
@@ -320,38 +318,60 @@ def test_sweep_stops_at_the_nonorientable_floor(monkeypatch):
         calls.clear()
         prof = min_euler_genus(g)
         assert prof.exact
-        # at most one orientable search, before every nonorientable one
-        orient = [call for call in calls if call[0]]
-        assert len(orient) <= 1 and calls[:len(orient)] == orient
-        nonor = [call[1:] for call in calls[len(orient):]]
+        # at most one search per side, the orientable one first
+        assert [call[0] for call in calls] in ([], [True], [False], [True, False])
         tree = set(g.spanning_tree())
         cotree = [e for e in g.edges if e not in tree]
         twisted = Embedding.build(g, prof.orientable_witness.rot, {cotree[0]: -1}).euler_genus()
         low = 2 - g.n + g.m - 2 * g.m // _SearchSpace(g).min_face
         floor = max(1, low)
         assert floor <= prof.nonorientable_min <= twisted
-        # every search starts at the incumbent, at or below the twisted
-        # witness, and replaces it only with a strictly better one
-        incumbent = twisted
-        for start, search_floor, found, improved in nonor:
-            assert start == incumbent and search_floor == floor
-            if improved:
-                assert found < start
-                incumbent = found
-        assert incumbent == prof.nonorientable_min
-        # the sweep ends at the first pattern that meets the floor, or
-        # else searches every pattern; none when the twisted witness
-        # already meets it
-        hits = [i for i, (_, _, found, improved) in enumerate(nonor)
-                if improved and found == floor]
-        cotree_rank = g.m - g.n + 1
+        nonor = [call[1:] for call in calls if not call[0]]
         if twisted == floor:
             assert not nonor
         else:
-            assert hits == [len(nonor) - 1] or (not hits and len(nonor) == 2 ** cotree_rank - 1)
+            # the search starts at the twisted witness and replaces it
+            # only with a strictly better one, with negative cotree edges
+            [(start, search_floor, (found, rot, negative, ended))] = nonor
+            assert (start, search_floor, ended) == (twisted, floor, True)
+            if rot is None:
+                assert found == prof.nonorientable_min == twisted
+            else:
+                assert found == prof.nonorientable_min < twisted
+                assert negative and set(negative) <= set(cotree)
         if g in planar:
             assert prof.nonorientable_min == 1 and not nonor
-    assert prof.nonorientable_min == 2 and not hits and nonor
+        if g in planar and g.m <= 12:
+            # below the floor, the nonorientable side still reaches no
+            # orientable leaf of genus 0
+            found, _, negative, ended = real(_SearchSpace(g), False, g.m, 0, [0], DEFAULT_BUDGET)
+            assert (found, ended) == (1, True) and negative
+    assert prof.nonorientable_min == 2 and nonor
+
+
+def test_k6_is_exact_at_the_default_budget():
+    prof = min_euler_genus(complete(6), budget=DEFAULT_BUDGET)
+    assert (prof.orientable_min, prof.nonorientable_min, prof.exact) == (2, 1, True)
+
+
+def test_budget_keeps_the_witness_found_before_it_ran_out():
+    # K3,4 is (2, 1); at budget 1000 the nonorientable search has found a
+    # witness of genus 2, below the twisted warm start of genus 3
+    prof = min_euler_genus(complete_bipartite(3, 4), budget=1000)
+    assert not prof.exact
+    assert (prof.orientable_min, prof.nonorientable_min) == (2, 2)
+    wit = prof.nonorientable_witness
+    assert not naive_is_orientable(wit.graph, wit.sig)
+    assert naive_genus(wit.graph, wit.rot, wit.sig) == 2
+
+
+def test_block_profile_counts_the_block_searches(monkeypatch):
+    monkeypatch.setattr(genus_search, "_profile_cache", {})
+    two = join(PARTS["K5"], PARTS["K5"], "cutvertex")
+    prof = cached_profile(two)
+    assert (prof.orientable_min, prof.nonorientable_min) == (4, 2)
+    parts = [min_euler_genus(two.subgraph(b)) for b in (range(5), range(4, 9))]
+    assert prof.explored == sum(p.explored for p in parts) > 0
 
 
 def test_planar_grid_needs_no_nonorientable_search():
@@ -361,28 +381,19 @@ def test_planar_grid_needs_no_nonorientable_search():
     assert prof.explored < 100_000
 
 
-def test_sign_patterns_follow_the_sorted_product():
-    # the sweep's lazy order is the product sorted by count of negatives,
-    # less the all-positive pattern, which the orientable search covers
-    for beta in range(13):
-        expected = sorted(itertools.product((1, -1), repeat=beta),
-                          key=lambda p: sum(1 for s in p if s < 0))
-        assert list(_sign_patterns(beta)) == expected[1:]
-
-
 def test_witness_check_survives_optimize():
     script = textwrap.dedent("""
         import sys
         from surface_minors import genus_search as gs
         from surface_minors.graph import Graph
 
-        real = gs._search_pattern
+        real = gs._search
 
         def corrupted(*args):
-            found, rot = real(*args)
-            return found + 2, rot   # claims more than the witness has
+            found, rot, negative, ended = real(*args)
+            return found + 2, rot, negative, ended   # claims more than the witness has
 
-        gs._search_pattern = corrupted
+        gs._search = corrupted
         print("debug", __debug__)
         try:
             # K5's default embedding has Euler genus 4, so the search runs
