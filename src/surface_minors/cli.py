@@ -9,6 +9,7 @@ corpus verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,7 +247,10 @@ def cmd_corpus(args) -> int:
     return 0 if report.ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process: building it costs far more than a parse."""
     ap = argparse.ArgumentParser(
         prog="surface-minors",
         description="Surface embeddings, exact Euler genus, excluded-minor "

@@ -62,10 +62,6 @@ class FaceWalk:
         return min(_cyclic_rotations(self.darts),
                    _cyclic_rotations(tuple((b, a) for a, b in reversed(self.darts))))
 
-    def is_cycle(self) -> bool:
-        """True when the walk visits each of its vertices exactly once."""
-        return len(self.vertex_set) == len(self.darts)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"FaceWalk({'-'.join(str(d[0]) for d in self.darts)})"
 
@@ -78,6 +74,31 @@ def _cyclic_rotations(seq: tuple) -> tuple:
         return seq
     least = min(seq)
     return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == least)
+
+
+@dataclass(frozen=True)
+class _FaceSides:
+    """What ``topology.classify_cycle`` reads of an embedding's faces.
+
+    Faces are numbered in the order of their least traversal states
+    (``Embedding._face_numbers`` gives the number of each face of
+    ``faces()``), and a face set is a bit mask over those numbers.  The
+    dual graph has a node per face and, per edge, a link between the
+    faces on its two sides; ``below`` and ``homology`` refer to a BFS
+    spanning forest of it.  An edge set is a cut of the dual graph, so
+    zero in Z2 homology, exactly when the XOR of its homology masks is
+    0; the XOR of its below masks is then the side of the cut that does
+    not hold the root of the dual tree.
+    """
+
+    face_of: list[int]          # per traversal state, its face
+    homology: list[int]         # per edge, a bit per edge off the forest whose
+                                # fundamental dual cycle uses it
+    below: list[int]            # per forest edge, the faces below it; 0 off it
+    component: list[int]        # per face, the faces of its dual component
+    vertices: list[int]         # per face, its vertices, over graph.vertices
+    edges: list[int]            # per face, its edges, over graph.edges
+    least: int                  # the faces with the key of faces()[0]
 
 
 @dataclass(frozen=True)
@@ -258,6 +279,18 @@ class Embedding:
     def _sorted_faces(self) -> tuple[FaceWalk, ...]:
         if self.graph.m == 0:
             return (FaceWalk(()),)
+        return tuple(sorted(self._orbit_walks(), key=lambda w: w.key))
+
+    @cached_property
+    def _face_numbers(self) -> tuple[int, ...]:
+        """The number of each face of ``faces()`` in the face-side table:
+        its place in the order of the faces' least states."""
+        walks = self._orbit_walks()
+        return tuple(sorted(range(len(walks)), key=lambda k: walks[k].key))
+
+    def _orbit_walks(self) -> list[FaceWalk]:
+        """One walk per face, in the order of the faces' least states,
+        each read from the face's orbit with the least state."""
         edges = self.graph.edges
         sig = self.sig
         orbit_of = [0] * (4 * self.graph.m)
@@ -277,7 +310,91 @@ class Embedding:
             done.add(i)
             done.add(j)
             walks.append(FaceWalk(dart_ends(self.graph, [s >> 1 for s in orb])))
-        return tuple(sorted(walks, key=lambda w: w.key))
+        return walks
+
+    @cached_property
+    def _face_sides(self) -> "_FaceSides":
+        """The face-side table of this embedding, built on first use from
+        the orbits: of the facial walks only those of edge 0's faces are
+        built.  Faces are numbered in the order of their least states,
+        and face sets are bit masks over those numbers."""
+        graph = self.graph
+        edges = graph.edges
+        neg = [s < 0 for _, s in self.signature]
+        vindex = {v: k for k, v in enumerate(graph.vertices)}
+        tail = [1 << vindex[v] for e in edges for v in e]    # per dart
+        face_of = [-1] * (4 * graph.m)
+        vertex_masks, edge_masks = [], []
+        for orb in self.orbits:
+            if face_of[orb[0]] >= 0:
+                continue  # the mirror orbit of a face already numbered
+            k = len(vertex_masks)
+            vmask = emask = 0
+            for s in orb:
+                d = s >> 1
+                # the state and its mirror 2 (d ^ 1) + (o ^ 1 ^ neg) are one face
+                face_of[s] = face_of[2 * (d ^ 1) + ((s & 1) ^ 1 ^ neg[d >> 1])] = k
+                emask |= 1 << (d >> 1)
+                vmask |= tail[d]
+            vertex_masks.append(vmask)
+            edge_masks.append(emask)
+        # faces()[0], the face with the least key, walks the least dart,
+        # dart 0, so it is the face of state 0 or of state 1: orbit 0, or
+        # orbit 1 when that is another face
+        keys = {face_of[orb[0]]: FaceWalk(dart_ends(graph, [s >> 1 for s in orb])).key
+                for orb in self.orbits[:1 + (face_of[0] != face_of[1])]}
+        least = sum(1 << k for k, key in keys.items() if key == min(keys.values()))
+        # the dual graph: edge i joins the faces of states 4i and 4i + 1,
+        # the two orbits that walk its dart 2i
+        nfaces = len(vertex_masks)
+        dual: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
+        for i in range(graph.m):
+            a, b = face_of[4 * i], face_of[4 * i + 1]
+            dual[a].append((i, b))
+            if a != b:
+                dual[b].append((i, a))
+        # a BFS spanning forest of the dual graph, one tree per component:
+        # each face's root, and the edge and face above it (-1 at a root)
+        root = [-1] * nfaces
+        up = [-1] * nfaces
+        parent = [-1] * nfaces
+        order: list[int] = []
+        for r in range(nfaces):
+            if root[r] >= 0:
+                continue
+            root[r] = r
+            queue = [r]
+            for f in queue:
+                for i, g in dual[f]:
+                    if root[g] < 0:
+                        root[g], up[g], parent[g] = r, i, f
+                        queue.append(g)
+            order += queue
+        tree = {up[f] for f in range(nfaces)}
+        # one homology bit per edge off the forest; a face's potential is
+        # the XOR of the bits at its ends
+        homology = [0] * graph.m
+        potential = [0] * nfaces
+        bit = 1
+        for i in range(graph.m):
+            if i not in tree:
+                homology[i] = bit
+                potential[face_of[4 * i]] ^= bit
+                potential[face_of[4 * i + 1]] ^= bit
+                bit <<= 1
+        # a forest edge lies on the fundamental dual cycle of an edge off
+        # the forest exactly when one of that edge's faces is below it
+        below = [0] * graph.m
+        subtree = [1 << f for f in range(nfaces)]
+        for f in reversed(order):
+            i, p = up[f], parent[f]
+            if i >= 0:
+                homology[i] = potential[f]
+                below[i] = subtree[f]
+                potential[p] ^= potential[f]
+                subtree[p] |= subtree[f]
+        return _FaceSides(face_of, homology, below, [subtree[root[f]] for f in range(nfaces)],
+                          vertex_masks, edge_masks, least)
 
     def euler_genus(self) -> int:
         """2 - (V - E + F).  Requires a connected graph."""

@@ -3,19 +3,22 @@
 Sides of a cycle, separating / contractible status, Int/Ext, cutting
 along cycles, and homotopy of cycle pairs.
 
-Classification counts on the embedding as given.  One walk along the
-cycle C validates it, finds its edge keys, and reads the left/right
-side of every edge end at C from the rotations, stepping backward at
-the vertices whose local changes would make C's signature positive
-(found as a vertex set only).  From each end that leaves C a stack
-search labels that end's component of G - V(C) with the end's side; C
-separates unless a component is reached from both sides or a chord
-joins the two.  Each side's Euler genus then follows from Euler's
-formula for the piece that cutting along C and capping it with a disk
-would give: the side's vertices and edges, plus the faces of the
-embedding lying on that side, plus the cap.  The normalized embedding
-and the cut graph are built only when a caller asks for them
-(``normalized``, ``cut``).
+Classification reads a face-side table that each ``Embedding`` builds
+once (``Embedding._face_sides``): each traversal state's face, a BFS
+spanning forest of the dual graph, per edge a homology mask (a bit per
+dual edge off the forest whose fundamental dual cycle uses the edge)
+and, on the forest, the faces below it, and per face its vertices and
+edges, all as bit masks.  A two-sided cycle C separates exactly when it
+is zero in Z2 homology, that is when its edges form a cut of the dual
+graph, which holds exactly when the XOR of their homology masks is 0
+(Eppstein, "Dynamic generators of topologically embedded graphs", SODA
+2003; Mohar-Thomassen, *Graphs on Surfaces*, ch. 4).  The XOR of their
+below masks is then one side's faces, and Euler's formula on the side's
+faces, vertices and edges gives its genus.  So a cycle is classified
+with |C| XORs and popcounts, and no search of the graph.  The end
+sides, read from the rotations in one walk along C, the normalized
+embedding and the cut graph are built only when a caller asks for
+them (``end_side``, ``normalized``, ``cut``).
 
 Homotopy takes one cut.  The second cycle C2 is lifted into the cut
 along the first, C1, and classified there.  Each side of the lifted C2
@@ -28,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 from .graph import Edge, Graph, edge_key
-from .embedding import Embedding, FaceWalk, check_cycle, cycle_edge_keys
+from .embedding import (Embedding, FaceWalk, _FaceSides, check_cycle, cycle_edge_keys,
+                        dart)
 
 
 class TopologyError(ValueError):
@@ -107,16 +111,13 @@ def _cycle_edges(cycle: Sequence[int]) -> list[Edge]:
 
 
 def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
-                       leave_negative_last: bool = False,
-                       keys: Sequence[Edge] | None = None) -> frozenset[int]:
+                       leave_negative_last: bool = False) -> frozenset[int]:
     """The vertices of C whose local changes make every signature on C
     positive (two-sided C), or every one positive except the closing
-    edge (one-sided C with ``leave_negative_last``).  ``keys`` are C's
-    edge keys as ``cycle_edge_keys`` gives them, found here if omitted.
-    A walk along C from its first vertex, not ``embedding._switching``:
-    that root stays, and it fixes which side of C ``_cut`` calls left."""
-    if keys is None:
-        keys = _cycle_edges(cycle)
+    edge (one-sided C with ``leave_negative_last``).  A walk along C
+    from its first vertex, not ``embedding._switching``: that root
+    stays, and it fixes which side of C ``_cut`` calls left."""
+    keys = _cycle_edges(cycle)
     sig = emb.sig
     flips = set()
     flipped = False
@@ -130,37 +131,57 @@ def _normalizing_flips(emb: Embedding, cycle: tuple[int, ...],
     return frozenset(flips)
 
 
-def _end_node(cset: set[int], end_side: dict[tuple[int, int], str],
-              u: int, v: int):
-    """The node of edge uv's end at u: u itself off the cycle, else the
-    side the end leaves the cycle on.  Both ends of an edge off C lie on
-    the same side, so either end's root is the edge's side."""
-    return end_side[(u, v)] if u in cset else u
-
-
 @dataclass(frozen=True)
 class CycleAnalysis:
     """classify_cycle's full output: the classification plus the data the
-    other operations need (per-end sides, side labels, and on request
-    the normalized embedding and the cut)."""
+    other operations need (side face sets, and on request the per-end
+    sides, the normalized embedding and the cut)."""
 
     graph: Graph
     embedding: Embedding            # original
     cycle: tuple[int, ...]
     classification: CycleClassification
-    # (vertex-on-C, neighbor) -> "left"/"right" for every non-C edge end,
-    # as read in the normalized embedding
-    end_side: dict[tuple[int, int], str]
-    flips: frozenset[int]           # local changes on V(C) that normalize C
     edges: frozenset[Edge]          # C's edges
-    # side label of every off-cycle vertex and of the "left" and "right"
-    # end nodes, equal exactly for the same side; None for one-sided cycles
-    roots: dict | None = None
     left_genus: int | None = None
     right_genus: int | None = None
+    # the faces on each side of a two-sided C, as bit masks over the
+    # face numbers of the embedding's face-side table; both are all of
+    # C's component when C does not separate, and None when C is one-sided
+    left_faces: int | None = None
+    right_faces: int | None = None
 
     def __hash__(self):  # pragma: no cover
         return id(self)
+
+    @cached_property
+    def flips(self) -> frozenset[int]:
+        """The local changes on V(C) that normalize C."""
+        return _normalizing_flips(self.embedding, self.cycle,
+                                  self.classification.sidedness == "one-sided")
+
+    @cached_property
+    def end_side(self) -> dict[tuple[int, int], str]:
+        """(vertex on C, neighbour) -> "left" or "right" for every edge end
+        at C off C, as read in the normalized embedding: the ends strictly
+        after the incoming cycle edge and before the outgoing one, in
+        rotation order read backward at flipped vertices, are on the
+        left, the rest on the right."""
+        flips = self.flips
+        rot = self.embedding.rot
+        cyc = self.cycle
+        end_side = {}
+        for prev_v, v, next_v in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
+            order = rot[v]
+            k = len(order)
+            j = order.index(prev_v)
+            side = "left"
+            for t in range(j - 1, j - k, -1) if v in flips else range(j + 1 - k, j):
+                w = order[t]
+                if w == next_v:
+                    side = "right"
+                else:
+                    end_side[(v, w)] = side
+        return end_side
 
     @cached_property
     def normalized(self) -> Embedding:
@@ -192,187 +213,130 @@ class CycleAnalysis:
             raise TopologyError("Int/Ext: cycle is not contractible")
         return self.classification.disk_side
 
-    def _side_root(self, side: str):
-        if self.roots is None:
+    def _side_faces(self, side: str) -> int:
+        if self.left_faces is None:
             raise TopologyError("sides: cycle is one-sided")
-        return self.roots[side]
+        return self.left_faces if side == "left" else self.right_faces
 
     def side_vertices(self, side: str) -> frozenset[int]:
-        """C and the vertices reached from the given side of C (all of
-        C's component when C does not separate)."""
-        root = self._side_root(side)
-        cset = set(self.cycle)
-        return frozenset(self.cycle) | {v for v in self.graph.vertices
-                                        if v not in cset and self.roots[v] == root}
+        """C and the vertices on the given side of C (all of C's
+        component when C does not separate)."""
+        masks = self.embedding._face_sides.vertices
+        vertices = self.graph.vertices
+        return frozenset(vertices[i] for i in _bits(_union(masks, self._side_faces(side))))
 
     def side_edges(self, side: str) -> frozenset[Edge]:
-        """C's edges and the edges reached from the given side of C."""
-        root = self._side_root(side)
-        cset, cyc_edges = set(self.cycle), self.edges
-        return frozenset(e for e in self.graph.edges if e in cyc_edges
-                         or self.roots[_end_node(cset, self.end_side, *e)] == root)
-
-    def interior_vertices(self) -> frozenset[int]:
-        """Vertices strictly inside C (in int, not on C)."""
-        return self.int_vertices - set(self.cycle)
+        """C's edges and the edges on the given side of C."""
+        masks = self.embedding._face_sides.edges
+        edges = self.graph.edges
+        return frozenset(edges[i] for i in _bits(_union(masks, self._side_faces(side))))
 
     def faces_inside(self) -> tuple[FaceWalk, ...]:
-        """The faces of (G, Pi) lying strictly inside C: those whose first
-        edge off C is on the Int side.  A face made only of C's edges is
-        not inside, so a cycle bounding a disk has no inside faces."""
-        root = self.roots[self.int_side()]
-        cset = set(self.cycle)
-        return tuple(f for f in self.embedding.faces()
-                     if _face_root(f, cset, self.edges, self.end_side, self.roots) == root)
+        """The faces of (G, Pi) lying strictly inside C: the faces on the
+        Int side less those made only of C's edges, so a cycle bounding
+        a disk has no inside faces."""
+        inside = self._side_faces(self.int_side())
+        masks = self.embedding._face_sides.edges
+        index = self.graph._edge_index
+        off_cycle = ~sum(1 << index[e] for e in self.edges)
+        return tuple(f for f, k in zip(self.embedding.faces(), self.embedding._face_numbers)
+                     if inside >> k & 1 and masks[k] & off_cycle)
 
 
-def _face_root(face: FaceWalk, cset: set[int], cyc_edges: set[Edge],
-               end_side: dict[tuple[int, int], str], roots: dict):
-    """The root of the face's first edge off C; None for a face made
-    only of C's edges, which lies on a side with no ends."""
-    for a, b in face.darts:
-        if (a, b) not in cyc_edges and (b, a) not in cyc_edges:
-            return roots[_end_node(cset, end_side, a, b)]
-    return None
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(masks: Sequence[int], faces: int) -> int:
+    """The union of the masks of the given faces."""
+    out = 0
+    for k in _bits(faces):
+        out |= masks[k]
+    return out
+
+
+def _genus(table: _FaceSides, faces: int) -> int:
+    """1 - V + E - F for the vertices, edges and faces of a side."""
+    vertices = edges = 0
+    for k in _bits(faces):
+        vertices |= table.vertices[k]
+        edges |= table.edges[k]
+    return 1 - vertices.bit_count() + edges.bit_count() - faces.bit_count()
 
 
 def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                    outer_face: FaceWalk | None = None) -> CycleAnalysis:
     """Classify a cycle: sidedness, separating, contractible, disk side.
 
-    C is one-sided when its signature product is negative.  Otherwise
-    the local changes that make C positive are found as a vertex set.
-    One walk along C reads the side of every edge end at C from the
-    rotations, stepping backward at the flipped vertices, and from each
-    end that leaves C a stack search labels that end's component of
-    G - V(C) with the end's side.  C separates unless a component is
-    reached from both sides or a chord has one end on each.  A side s
-    with ends has Euler genus
+    C is one-sided when its signature product is negative.  A two-sided
+    C separates exactly when it is zero in Z2 homology, that is when its
+    edges form a cut of the dual graph, and this is read off the
+    embedding's face-side table (``Embedding._face_sides``) in one pass
+    over C's edges: the XOR of their homology masks is 0 exactly then.
+    The XOR of their below masks is then one side of the cut within C's
+    dual component, and the component's other faces are the other side.
+    The left side is the one holding the face that walks C's closing
+    edge into its first vertex and turns away from the closing edge in
+    the rotation read forward (the state ``2 * dart + (sig < 0)``).  A
+    side with face set F_s, bounded by |F_s| faces, |V_s| vertices and
+    |E_s| edges, C's included, has Euler genus
 
-        2 - (l + V_s) + (l + E_s) - (1 + F_s),
+        1 - |V_s| + |E_s| - |F_s|,
 
-    the Euler characteristic of the capped cut piece: l copies of C's
-    vertices and edges, the V_s vertices and E_s edges off C on that
-    side, and the F_s faces of the embedding whose first dart off C lies
-    on that side, plus the cap.  V_s counts the side's vertices, and
-    E_s is half the side's degree sum plus its ends at C, plus its
-    chords.  A side with no ends is a disk.  C is contractible when it
-    separates and one side has genus 0.  For a contractible cycle in a
-    genus-0 embedding both sides bound disks; the side containing the
+    the Euler characteristic of the piece that cutting along C and
+    capping it with a disk gives: C's l vertices and edges cancel, and
+    the cap is the 1.  A side made only of one face bounded by C is a
+    disk (1 - l + l - 1 = 0).  C is contractible when it separates and
+    one side has genus 0.  For a contractible cycle in a genus-0
+    embedding both sides bound disks; the side containing the
     designated outer face (default: the lexicographically smallest
     facial walk) is taken as Ext.
 
-    No embedding is built: the analysis' ``normalized`` embedding and
-    ``cut`` are made on first use.
+    No search runs and no embedding is built: the table is built once
+    per embedding, and the analysis' end sides, ``normalized``
+    embedding and ``cut`` are made on first use.
     """
     if emb.graph != graph:
         raise TopologyError("classify_cycle: embedding is for a different graph")
     cyc, keys = cycle_edge_keys(graph, cycle)
     edges = frozenset(keys)
     sig = emb.sig
-    one_sided = len([e for e in keys if sig[e] < 0]) % 2 == 1
-    flips = _normalizing_flips(emb, cyc, one_sided, keys)
-    cset = set(cyc)
-    adj = graph._adj
-    rot = emb.rot
-    end_side: dict[tuple[int, int], str] = {}
-    # off-C vertex -> side of its component of G - V(C)
-    roots: dict = {}
-    # [vertices, degree sum plus ends at C, chords] on each side
-    count = {"left": [0, 0, 0], "right": [0, 0, 0]}
-    separating = not one_sided
-    for prev_v, v, next_v in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
-        # the ends strictly after the incoming cycle edge and before the
-        # outgoing one, in rotation order read backward at flipped
-        # vertices, are on the left; the rest are on the right
-        order = rot[v]
-        k = len(order)
-        j = order.index(prev_v)
-        side = "left"
-        for t in range(j - 1, j - k, -1) if v in flips else range(j + 1 - k, j):
-            w = order[t]
-            if w == next_v:
-                side = "right"
-                continue
-            end_side[(v, w)] = side
-            if one_sided:
-                continue
-            if w in cset:
-                other = end_side.get((w, v))
-                if other is not None:
-                    if other == side:
-                        count[side][2] += 1
-                    else:
-                        separating = False
-                continue
-            got = roots.get(w)
-            if got is None:
-                side_count = count[side]
-                roots[w] = side
-                stack = [w]
-                while stack:
-                    u = stack.pop()
-                    side_count[0] += 1
-                    side_count[1] += len(adj[u])
-                    for x in adj[u]:
-                        if x not in cset and x not in roots:
-                            roots[x] = side
-                            stack.append(x)
-            elif got != side:
-                separating = False
-            count[side][1] += 1
-    if one_sided:
+    table = emb._face_sides
+    index = graph._edge_index
+    negative = homology = below = 0
+    for e in keys:
+        i = index[e]
+        negative ^= sig[e] < 0
+        homology ^= table.homology[i]
+        below ^= table.below[i]
+    if negative:
         cls = CycleClassification("one-sided", False, False, "none")
-        return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, edges)
-
-    if not separating:
-        roots = dict.fromkeys(roots, "left")
-    if len(roots) + len(cyc) < graph.n:
-        # components of G - V(C) that C does not touch, labelled by a vertex
-        for v in graph.vertices:
-            if v not in cset and v not in roots:
-                roots[v] = v
-                stack = [v]
-                while stack:
-                    for x in adj[stack.pop()]:
-                        if x not in roots:
-                            roots[x] = v
-                            stack.append(x)
-    roots["left"] = "left"
-    roots["right"] = "right" if separating else "left"
-
-    left_genus = right_genus = None
-    contractible = False
+        return CycleAnalysis(graph, emb, cyc, cls, edges)
+    left_face = table.face_of[2 * dart(graph, cyc[-1], cyc[0]) + (sig[keys[-1]] < 0)]
+    component = table.component[left_face]
+    if homology:
+        cls = CycleClassification("two-sided", False, False, "none")
+        return CycleAnalysis(graph, emb, cyc, cls, edges,
+                             left_faces=component, right_faces=component)
+    left = below if below >> left_face & 1 else component ^ below
+    right = component ^ left
+    left_genus, right_genus = _genus(table, left), _genus(table, right)
     disk_side = "none"
-    if separating:
-        faces = emb.faces()
-        nfaces = {"left": 0, "right": 0}
-        for f in faces:
-            r = _face_root(f, cset, edges, end_side, roots)
-            if r in nfaces:
-                nfaces[r] += 1
-        n_edges = {s: c[1] // 2 + c[2] for s, c in count.items()}
-        left_genus, right_genus = (0 if n_edges[s] == 0
-                                   else 1 - count[s][0] + n_edges[s] - nfaces[s]
-                                   for s in ("left", "right"))
-        contractible = left_genus == 0 or right_genus == 0
-        if contractible:
-            if left_genus == 0 and right_genus == 0:
-                # sphere: Ext is the side holding the outer face
-                key = outer_face.key if outer_face is not None else faces[0].key
-                outer = next((f for f in faces if f.key == key), None)
-                r = None if outer is None else _face_root(outer, cset, edges,
-                                                          end_side, roots)
-                if outer is not None and r is None:
-                    # made of C's edges: on a side with no ends
-                    r = "left" if n_edges["left"] == 0 else "right"
-                # Int defaults left when the outer face is on neither side
-                disk_side = "right" if r == "left" else "left"
-            else:
-                disk_side = "left" if left_genus == 0 else "right"
-    cls = CycleClassification("two-sided", separating, contractible, disk_side)
-    return CycleAnalysis(graph, emb, cyc, cls, end_side, flips, edges, roots,
-                         left_genus, right_genus)
+    if left_genus == 0 and right_genus == 0:
+        # sphere: Ext is the side holding the outer face
+        # Int defaults left when the outer face is on neither side; a
+        # cycle alone in its component bounds two faces with one key
+        outer = table.least if outer_face is None else \
+            sum(1 << k for f, k in zip(emb.faces(), emb._face_numbers) if f.key == outer_face.key)
+        disk_side = "right" if outer & left else "left"
+    elif left_genus == 0 or right_genus == 0:
+        disk_side = "left" if left_genus == 0 else "right"
+    cls = CycleClassification("two-sided", True, disk_side != "none", disk_side)
+    return CycleAnalysis(graph, emb, cyc, cls, edges, left_genus, right_genus, left, right)
 
 
 def _cut(norm: Embedding, cycle: tuple[int, ...],

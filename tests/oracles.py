@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -311,8 +312,27 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class UnionFindAnalysis:
+    """``union_find_classify``'s record: ``CycleAnalysis``'s fields with
+    the end sides and flips found eagerly, and the union-find root of
+    every off-cycle vertex and of the "left" and "right" end nodes (None
+    for a one-sided cycle)."""
+
+    graph: Graph
+    embedding: Embedding
+    cycle: tuple[int, ...]
+    classification: CycleClassification
+    end_side: dict[tuple[int, int], str]
+    flips: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+    roots: dict | None = None
+    left_genus: int | None = None
+    right_genus: int | None = None
+
+
 def union_find_classify(graph: Graph, emb: Embedding, cycle,
-                        outer_face: FaceWalk | None = None) -> CycleAnalysis:
+                        outer_face: FaceWalk | None = None) -> UnionFindAnalysis:
     """``classify_cycle`` by a union-find over every edge off C.
 
     The end sides are read from copies of the rotations, reversed at the
@@ -341,7 +361,7 @@ def union_find_classify(graph: Graph, emb: Embedding, cycle,
                 side[(v, w)] = current
     if one_sided:
         cls = CycleClassification("one-sided", False, False, "none")
-        return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges)
+        return UnionFindAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges)
 
     cset = set(cyc)
     parent: dict = {v: v for v in graph.vertices if v not in cset}
@@ -400,8 +420,8 @@ def union_find_classify(graph: Graph, emb: Embedding, cycle,
             else:
                 disk_side = "left" if left_genus == 0 else "right"
     cls = CycleClassification("two-sided", separating, contractible, disk_side)
-    return CycleAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges, roots,
-                         left_genus, right_genus)
+    return UnionFindAnalysis(graph, emb, cyc, cls, side, flips, cyc_edges, roots,
+                             left_genus, right_genus)
 
 
 # ---------------------------------------------------------------------------

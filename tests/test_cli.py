@@ -4,7 +4,7 @@ import json
 import pytest
 
 from surface_minors import corpus, genus_search
-from surface_minors.cli import main
+from surface_minors.cli import build_parser, main
 from surface_minors.graph import Graph, graph6_encode
 from surface_minors.structure import is_nested
 from surface_minors.treedecomp import TreeDecomposition, validate
@@ -186,6 +186,32 @@ def test_failed_corpus_verify_exits_2(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["ok"] is False
     assert len(out["failed"]) == 1 and out["failed"][0].startswith("K4: genus_profile = (1, 1)")
+
+
+def test_one_parser_serves_every_command_in_a_process(tmp_path, capsys):
+    # the parser is built once per process, and a run of different
+    # subcommands through it prints what a fresh parser prints for each
+    torus = torus_grid_args(tmp_path, 3, 3)
+    runs = [["genus", "--graph6", graph6_encode(complete(4)), "--json"],
+            ["faces"] + torus,
+            ["cut", "--cycle", "0,1,2"] + torus,
+            ["bounds", "--g", "1", "--json"],
+            ["treedecomp", "--graph6", graph6_encode(grid(2, 3)), "--json"]]
+
+    def outputs(fresh: bool) -> list:
+        out = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            out.append((main(argv), capsys.readouterr()))
+        return out
+
+    fresh = outputs(True)
+    build_parser.cache_clear()
+    shared = outputs(False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert all(code == 0 for code, _ in shared)
 
 
 def planar_grid_args(tmp_path, rows: int, cols: int) -> tuple[Graph, list[str]]:

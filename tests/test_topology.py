@@ -44,7 +44,7 @@ def test_c5_sphere_bounds_disk():
     assert an.classification.contractible
     # both faces are C itself; the outer one is taken on the left side
     assert an.classification.disk_side == "right"
-    assert an.interior_vertices() == frozenset()
+    assert an.int_vertices - set(an.cycle) == frozenset()
     assert an.faces_inside() == ()
 
 
@@ -218,11 +218,24 @@ def test_classify_torus_grid_against_winding_numbers():
     assert 0 < contractible < len(cycles)
 
 
-def _partition(roots: dict) -> set[frozenset]:
-    groups: dict = {}
-    for x, r in roots.items():
-        groups.setdefault(r, set()).add(x)
-    return {frozenset(g) for g in groups.values()}
+def _oracle_side(want, side: str):
+    """The vertices, edges and faces of one side of a two-sided cycle by
+    the union-find oracle's roots: C and the off-cycle vertices with the
+    side's root, C's edges and the edges whose end nodes have it, and
+    the faces whose first edge off C has it."""
+    cset = set(want.cycle)
+    roots = want.roots
+    root = roots[side]
+
+    def end_root(u, v):
+        return roots[want.end_side[(u, v)] if u in cset else u]
+
+    vertices = cset | {v for v in want.graph.vertices if v not in cset and roots[v] == root}
+    edges = {e for e in want.graph.edges if e in want.edges or end_root(*e) == root}
+    faces = tuple(f for f in want.embedding.faces()
+                  if next((end_root(a, b) for a, b in f.darts
+                           if edge_key(a, b) not in want.edges), None) == root)
+    return vertices, edges, faces
 
 
 def _grid_embedding(rows: int, cols: int) -> Embedding:
@@ -264,18 +277,35 @@ def test_classify_cycle_matches_union_find_oracle():
                 got.left_genus, got.right_genus) == \
             (want.cycle, want.classification, want.end_side, want.flips, want.edges,
              want.left_genus, want.right_genus), cyc
-        assert (got.roots is None) == (want.roots is None)
-        if got.roots is not None:
-            assert _partition(got.roots) == _partition(want.roots), cyc
         c = got.classification
+        assert (got.left_faces is None) == (want.roots is None)
+        if want.roots is not None:
+            for side in ("left", "right"):
+                vertices, edges, faces = _oracle_side(want, side)
+                assert (got.side_vertices(side), got.side_edges(side)) == (vertices, edges), cyc
+                if c.contractible and side == c.disk_side:
+                    assert (got.int_vertices, got.int_edges, got.faces_inside()) == \
+                        (vertices, edges, faces), cyc
         kinds.add((c.sidedness, c.separating, c.contractible))
-        if any(w in got.cycle for _, w in got.end_side):
+        if any(w in want.cycle for _, w in want.end_side):
             kinds.add("chord")
-        if got.roots is not None and len(set(got.roots.values())) > 2:
+        if want.roots is not None and len(set(want.roots.values())) > 2:
             kinds.add("untouched component")
     assert kinds == {("one-sided", False, False), ("two-sided", False, False),
                      ("two-sided", True, False), ("two-sided", True, True),
                      "chord", "untouched component"}
+
+
+def test_classifying_every_cycle_traces_the_faces_at_most_once(monkeypatch):
+    # classification reads the faces through the embedding's face-side
+    # table, which traces them once
+    g, emb = torus_grid(4, 4)
+    faces = Embedding.faces
+    calls = []
+    monkeypatch.setattr(Embedding, "faces", lambda self: calls.append(self) or faces(self))
+    for cyc in enumerate_cycles(g)[0]:
+        classify_cycle(g, emb, cyc)
+    assert len(calls) <= 1
 
 
 def test_classify_cycle_errors_match_union_find_oracle():
@@ -378,7 +408,7 @@ def test_lemma_faces_are_cycles_inside_contractible():
                 an = classify_cycle(g, emb, cyc)
                 if an.is_contractible:
                     for f in an.faces_inside():
-                        assert f.is_cycle()
+                        assert len(f.vertex_set) == len(f.darts)
 
 
 def test_homotopy_prism_triangles():
