@@ -10,7 +10,7 @@ from .graph import (Graph, GraphError, apply_minor_op, blocks, contract_edge,
                     graph_to_json, group_isomorphic, is_isomorphic,
                     one_step_minors, parse_graph)
 from .embedding import (Embedding, EmbeddingError, FaceWalk, default_embedding,
-                        euler_genus, face_traversal, random_embedding)
+                        random_embedding)
 from .topology import (CutResult, CycleAnalysis, CycleClassification,
                        TopologyError, are_homotopic, classify_cycle,
                        cut_along, induced_embedding, total_genus)

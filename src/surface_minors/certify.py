@@ -13,8 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .graph import (Graph, MinorOp, graph_to_json, graph_from_json, group_isomorphic,
-                    one_step_minors)
+from .graph import (Graph, GraphError, MinorOp, apply_minor_op, graph_to_json,
+                    graph_from_json, group_isomorphic, one_step_minors)
 from .embedding import Embedding
 from .genus_search import Surface, combined_minima, default_budget, embeddable_in
 
@@ -118,9 +118,16 @@ def check_genus_range(cert: ExclusionCertificate) -> bool:
 def verify_certificate(cert: ExclusionCertificate,
                        budget: int | None = None) -> tuple[bool, str | None]:
     """Re-check a certificate from its stored data: every minor witness
-    re-evaluates, the minors cover every one-step minor class, and the
+    is the graph its op makes of the certified graph and re-evaluates,
+    the minors cover every one-step minor class, and the
     nonembeddability claim reproduces under the stored search settings."""
     for w in cert.minors:
+        try:
+            minor = apply_minor_op(cert.graph, w.op)
+        except GraphError as exc:
+            return False, f"minor op {w.op} does not apply: {exc}"
+        if minor != w.graph:
+            return False, f"witness graph for {w.op} is not the graph that op makes"
         if not w.verify(cert.surface):
             return False, f"witness for {w.op} failed verification"
     have = [w.graph for w in cert.minors]
@@ -162,7 +169,10 @@ def _op_from_json(obj) -> MinorOp:
     if kind == "delete-vertex":
         return (kind, _field(obj, "vertex", int, "op"))
     if kind in ("delete-edge", "contract-edge"):
-        return (kind, tuple(_field(obj, "edge", list, "op")))
+        edge = _field(obj, "edge", list, "op")
+        if len(edge) != 2 or not all(isinstance(v, int) for v in edge):
+            raise CertificationError("certificate json: op needs an 'edge' of two vertex ids")
+        return (kind, tuple(edge))
     raise CertificationError(f"certificate json: unknown op kind {kind!r}")
 
 

@@ -13,9 +13,9 @@ import functools
 import json
 import sys
 
-from .graph import Graph, GraphError, graph6_decode, graph_to_json, parse_graph
+from .graph import Graph, GraphError, blocks, graph6_decode, graph_to_json, parse_graph
 from .embedding import Embedding, EmbeddingError, default_embedding
-from .genus_search import DEFAULT_BUDGET, Surface, embeddable_in, min_euler_genus
+from .genus_search import DEFAULT_BUDGET, Surface, cached_profile, embeddable_in, min_euler_genus
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 
@@ -67,7 +67,8 @@ def cmd_genus(args) -> int:
     if not g.is_connected():
         raise SystemExit("error: genus is computed per connected graph; "
                          "use `embeddable` for the combination rule")
-    prof = min_euler_genus(g, args.budget)
+    search = cached_profile if blocks(g)[1] else min_euler_genus
+    prof = search(g, args.budget)
     obj = {"orientable_min": prof.orientable_min,
            "nonorientable_min": prof.nonorientable_min,
            "exact": prof.exact,

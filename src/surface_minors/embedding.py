@@ -161,7 +161,7 @@ class Embedding:
     def sig(self) -> dict[Edge, int]:
         return dict(self.signature)
 
-    # -- local changes and signature normal forms ---------------------------
+    # -- local changes and signatures ----------------------------------------
 
     def local_change(self, v: int) -> "Embedding":
         """Invert the rotation at v and flip the signature of every edge
@@ -179,21 +179,6 @@ class Embedding:
                 for e, s in self.signature}
         return Embedding.build(self.graph, rot, sigd)
 
-    def normalize_signatures(self, tree: Sequence[Edge] | None = None) -> "Embedding":
-        """An equivalent embedding whose signature is +1 on every edge of
-        the given spanning tree (default: the BFS tree)."""
-        if tree is None:
-            tree = self.graph.spanning_tree()
-        tset = {edge_key(*e) for e in tree}
-        sub = self.graph.edge_subgraph(tset & self.graph.edge_set, self.graph.vertices)
-        count = len(self.graph.components())
-        # n - c edges of the graph that leave c components: a spanning forest
-        if sub.m != len(tset) or sub.m != sub.n - count or len(sub.components()) != count:
-            raise EmbeddingError("normalize_signatures: not a spanning tree of the graph")
-        flips, _ = _switching(sub, {e: s < 0 for e, s in self.signature})
-        flip = [v for v, f in flips.items() if f]
-        return self.local_change_set(flip) if flip else self
-
     def cycle_signature(self, cycle: Sequence[int]) -> int:
         """Product of the signature over the edges of the cycle; +1 means
         two-sided.  Invariant under local changes."""
@@ -209,30 +194,7 @@ class Embedding:
     def is_orientable(self) -> bool:
         """True iff every cycle is two-sided: some set of local changes
         makes every signature +1."""
-        return _switching(self.graph, {e: s < 0 for e, s in self.signature})[1]
-
-    # -- equivalence --------------------------------------------------------
-
-    def equivalent(self, other: "Embedding") -> bool:
-        """Whether some set of local changes maps this embedding to the
-        other.  The switching search on the edges whose signs differ fixes
-        the flipped set of each component up to complement; every vertex
-        of the component must then keep its rotation when it stays and
-        reverse it when it flips.  Rotations start at their least
-        neighbour (``build``), so the reversal of a is a[:1] + a[:0:-1]."""
-        if self.graph != other.graph:
-            raise EmbeddingError("equivalent: embeddings of different graphs")
-        flips, consistent = _switching(
-            self.graph, {e: s != other.sig[e] for e, s in self.signature})
-        if not consistent:
-            return False
-
-        def fits(v: int, flip: bool) -> bool:
-            a = self.rot[v]
-            return (a[:1] + a[:0:-1] if flip else a) == other.rot[v]
-
-        return all(any(all(fits(v, flips[v] ^ c) for v in comp) for c in (False, True))
-                   for comp in self.graph.components())
+        return _switching(self.graph, {e: s < 0 for e, s in self.signature})
 
     # -- faces ---------------------------------------------------------------
 
@@ -279,18 +241,21 @@ class Embedding:
     def _sorted_faces(self) -> tuple[FaceWalk, ...]:
         if self.graph.m == 0:
             return (FaceWalk(()),)
-        return tuple(sorted(self._orbit_walks(), key=lambda w: w.key))
+        walks = self._orbit_walks
+        return tuple(walks[k] for k in self._face_numbers)
 
     @cached_property
     def _face_numbers(self) -> tuple[int, ...]:
         """The number of each face of ``faces()`` in the face-side table:
         its place in the order of the faces' least states."""
-        walks = self._orbit_walks()
+        walks = self._orbit_walks
         return tuple(sorted(range(len(walks)), key=lambda k: walks[k].key))
 
-    def _orbit_walks(self) -> list[FaceWalk]:
-        """One walk per face, in the order of the faces' least states,
-        each read from the face's orbit with the least state."""
+    @cached_property
+    def _orbit_walks(self) -> tuple[FaceWalk, ...]:
+        """One walk per face, in the order of the faces' least states (the
+        face-side table's order), each read from the face's orbit with
+        the least state."""
         edges = self.graph.edges
         sig = self.sig
         orbit_of = [0] * (4 * self.graph.m)
@@ -310,7 +275,7 @@ class Embedding:
             done.add(i)
             done.add(j)
             walks.append(FaceWalk(dart_ends(self.graph, [s >> 1 for s in orb])))
-        return walks
+        return tuple(walks)
 
     @cached_property
     def _face_sides(self) -> "_FaceSides":
@@ -456,15 +421,14 @@ class Embedding:
         return f"Embedding(graph={self.graph!r})"
 
 
-def _switching(graph: Graph, negative: Mapping[Edge, bool]) -> tuple[dict[int, bool], bool]:
-    """The local changes that make every edge of the graph positive.
+def _switching(graph: Graph, negative: Mapping[Edge, bool]) -> bool:
+    """Whether some set of local changes makes every edge of the graph
+    positive.
 
     Searches each component from its least vertex, which stays; a vertex
     flips exactly when the edge it is reached by is negative relative to
-    the vertex it comes from.  Returns the flip bit of each vertex and
-    whether every edge ends up positive; the search stops at the first
-    edge that does not, so the flip bits are complete only when that is
-    True.  ``negative`` may also cover edges outside the graph.
+    the vertex it comes from.  The search stops at the first edge that
+    does not end up positive.
     """
     adj = graph._adj
     flips: dict[int, bool] = {}
@@ -481,8 +445,8 @@ def _switching(graph: Graph, negative: Mapping[Edge, bool]) -> tuple[dict[int, b
                     flips[w] = flip
                     stack.append(w)
                 elif flips[w] != flip:
-                    return flips, False
-    return flips, True
+                    return False
+    return True
 
 
 def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
@@ -571,25 +535,6 @@ def successor_pairs(rot: Sequence[int], neg: Sequence[bool]) -> list[tuple[int, 
         else:
             pairs += ((s, nxt), (s + 1, prv))
     return pairs
-
-
-def face_traversal(graph: Graph, emb: Embedding) -> tuple[FaceWalk, ...]:
-    """The set of facial walks of a connected embedded graph.
-
-    Every edge is traversed exactly twice across all walks, so the face
-    sizes sum to 2|E|.
-    """
-    if emb.graph != graph:
-        raise EmbeddingError("face_traversal: embedding is for a different graph")
-    if not graph.is_connected():
-        raise EmbeddingError("face_traversal: graph must be connected")
-    return emb.faces()
-
-
-def euler_genus(graph: Graph, emb: Embedding) -> int:
-    if emb.graph != graph:
-        raise EmbeddingError("euler_genus: embedding is for a different graph")
-    return emb.euler_genus()
 
 
 # ---------------------------------------------------------------------------

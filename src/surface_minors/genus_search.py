@@ -51,8 +51,9 @@ stops as soon as its incumbent meets its floor, and does not start when
 the warm start meets it.  The budget counts child evaluations, the unit
 of work.
 
-The pruning is verified against an unpruned oracle in the test suite on
-every connected graph with at most eight edges.
+Tests check the pruning against an unpruned oracle on every connected
+graph with at most eight edges, and that oracle's cotree signs against
+all 2^m signatures (``test_tree_positive_signatures_lose_no_minimum``).
 """
 
 from __future__ import annotations

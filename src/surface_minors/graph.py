@@ -84,9 +84,6 @@ class Graph:
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
-
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -161,10 +158,6 @@ class Graph:
                             nxt.append(w)
                 queue = nxt
         return tuple(order), tuple(sorted(tree))
-
-    def spanning_tree(self) -> tuple[Edge, ...]:
-        """The BFS spanning tree (forest for disconnected graphs) of ``bfs``."""
-        return self.bfs[1]
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest.  A BFS from

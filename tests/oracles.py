@@ -102,11 +102,8 @@ def naive_is_orientable(graph: Graph, signature: dict[tuple[int, int], int]) -> 
     return True
 
 
-def all_rotation_signatures(graph: Graph):
-    """Every (rotation, signature, orientable) with signatures +1 on a
-    spanning tree: the full product, no pruning or symmetry reduction."""
-    tree = set(graph.spanning_tree())
-    cotree = [e for e in graph.edges if e not in tree]
+def _all_rotations(graph: Graph):
+    """Every rotation system: each vertex's (d-1)! cyclic orders."""
     per_vertex = []
     for v in graph.vertices:
         ns = graph.neighbors(v)
@@ -115,12 +112,38 @@ def all_rotation_signatures(graph: Graph):
         else:
             per_vertex.append([(ns[0],) + p for p in itertools.permutations(ns[1:])])
     for rots in itertools.product(*per_vertex):
-        rotation = dict(zip(graph.vertices, rots))
+        yield dict(zip(graph.vertices, rots))
+
+
+def all_rotation_signatures(graph: Graph):
+    """Every (rotation, signature, orientable) with signatures +1 on a
+    spanning tree: the full product, no pruning or symmetry reduction."""
+    tree = set(graph.bfs[1])
+    cotree = [e for e in graph.edges if e not in tree]
+    for rotation in _all_rotations(graph):
         for pattern in itertools.product((1, -1), repeat=len(cotree)):
             signature = {e: 1 for e in graph.edges}
             for e, s in zip(cotree, pattern):
                 signature[e] = s
             yield rotation, signature, all(s > 0 for s in pattern)
+
+
+def all_signature_min_genus(graph: Graph) -> tuple[int, int | None]:
+    """(orientable minimum, nonorientable minimum) over every rotation
+    system and every one of the 2^m signatures, each embedding's
+    orientability decided by ``naive_is_orientable``: no spanning-tree
+    normal form is assumed."""
+    orient = None
+    nonor = None
+    for rotation in _all_rotations(graph):
+        for pattern in itertools.product((1, -1), repeat=graph.m):
+            signature = dict(zip(graph.edges, pattern))
+            g = naive_genus(graph, rotation, signature)
+            if naive_is_orientable(graph, signature):
+                orient = g if orient is None else min(orient, g)
+            else:
+                nonor = g if nonor is None else min(nonor, g)
+    return orient, nonor
 
 
 def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
@@ -284,7 +307,7 @@ def connected_graphs_up_to(max_edges: int) -> tuple[Graph, ...]:
         for g in levels[m - 1]:
             candidates = []
             for u, v in itertools.combinations(g.vertices, 2):
-                if not g.has_edge(u, v):
+                if edge_key(u, v) not in g.edge_set:
                     candidates.append(Graph.build(g.vertices,
                                                   list(g.edges) + [(u, v)]))
             new = max(g.vertices) + 1
@@ -504,7 +527,7 @@ def _count_cycle_images(piece: Graph, cut: CutResult, cycle_ids: tuple[int, ...]
     for combo in itertools.product(*candidates):
         if len(set(combo)) != l:
             continue
-        ok = all(piece.has_edge(combo[i], combo[(i + 1) % l]) for i in range(l))
+        ok = all(edge_key(combo[i], combo[(i + 1) % l]) in piece.edge_set for i in range(l))
         if ok:
             total += 1
     return total
@@ -515,7 +538,7 @@ def _count_copies2(piece: Graph, cut2: CutResult) -> int:
     for copy in cut2.copies:
         if all(v in piece.vertices for v in copy):
             l = len(copy)
-            if all(piece.has_edge(copy[i], copy[(i + 1) % l]) for i in range(l)):
+            if all(edge_key(copy[i], copy[(i + 1) % l]) in piece.edge_set for i in range(l)):
                 count += 1
     return count
 

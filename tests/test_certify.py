@@ -109,8 +109,10 @@ def _k5_certificate_json(edit) -> str:
      "minor needs dict field 'op'"),
     (lambda: _k5_certificate_json(lambda obj: obj["minors"][0]["op"].update(kind="subdivide")),
      "unknown op kind 'subdivide'"),
+    (lambda: _k5_certificate_json(lambda obj: obj["minors"][1]["op"].update(edge=[0, 1, 2])),
+     "'edge' of two vertex ids"),
 ], ids=["empty-object", "list", "not-json", "json-string", "no-surface", "minor-without-op",
-        "unknown-op"])
+        "unknown-op", "edge-of-three"])
 def test_malformed_certificate_names_the_field(make, field):
     with pytest.raises(CertificationError, match=field):
         certificate_from_json(make())
@@ -142,6 +144,19 @@ def test_certificate_with_a_wrong_witness_graph_rejected():
         bad = replace(cert, minors=(replace(w, embeddings=(wrong,)),) + cert.minors[1:])
         ok, why = verify_certificate(bad)
         assert not ok and why == f"witness for {w.op} failed verification"
+
+
+def test_certificate_with_a_wrong_minor_op_rejected():
+    # each witness graph must be the graph its op makes of the certified
+    # graph: swapped ops and an op that does not apply are rejected
+    cert = certify_excluded_minor(complete(5), SPHERE).certificate
+    a, b = cert.minors
+    swapped = replace(cert, minors=(replace(a, op=b.op), replace(b, op=a.op)))
+    missing = replace(cert, minors=(replace(a, op=("delete-vertex", 9)), b))
+    for bad, why in ((swapped, f"witness graph for {b.op} is not the graph that op makes"),
+                     (missing, "minor op ('delete-vertex', 9) does not apply")):
+        ok, got = verify_certificate(certificate_from_json(certificate_to_json(bad)))
+        assert not ok and got.startswith(why)
 
 
 def test_blocks_of_wedge_certify_per_block():

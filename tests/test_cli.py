@@ -5,6 +5,7 @@ import pytest
 
 from surface_minors import corpus, genus_search
 from surface_minors.cli import build_parser, main
+from surface_minors.embedding import Embedding
 from surface_minors.graph import Graph, graph6_encode
 from surface_minors.structure import is_nested
 from surface_minors.treedecomp import TreeDecomposition, validate
@@ -18,6 +19,24 @@ def test_genus_json_on_k5(capsys):
     assert code == 0
     assert (out["orientable_min"], out["nonorientable_min"]) == (2, 1)
     assert out["exact"] is True
+
+
+def test_genus_searches_a_graph_with_a_cutvertex_by_blocks(monkeypatch, capsys):
+    # two K5 sharing vertex 4: one search of the whole graph spends the
+    # budget, a search of each K5 block is exact well within it
+    monkeypatch.setattr(genus_search, "_profile_cache", {})
+    k5 = complete(5)
+    two = Graph.build(range(9), list(k5.edges) + [(u + 4, v + 4) for u, v in k5.edges])
+    code = main(["genus", "--graph6", graph6_encode(two), "--budget", "1000", "--json",
+                 "--witnesses"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["orientable_min"], out["nonorientable_min"], out["exact"]) == (4, 2, True)
+    assert out["explored"] <= 1000
+    witnesses = [Embedding.from_json(json.dumps(out[k]))
+                 for k in ("orientable_witness", "nonorientable_witness")]
+    assert [(w.graph, w.euler_genus(), w.is_orientable()) for w in witnesses] == \
+        [(two, 4, True), (two, 2, False)]
 
 
 def test_exhausted_budget_exits_3(monkeypatch, capsys):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from surface_minors.graph import Graph
 from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk,
-                                      default_embedding, face_traversal,
-                                      random_embedding)
-from conftest import complete, complete_bipartite, cycle_graph, path_graph
+                                      default_embedding, random_embedding)
+from conftest import complete, cycle_graph, path_graph
 from oracles import all_rotation_signatures, naive_face_count, naive_is_orientable
 
 
@@ -61,10 +60,10 @@ def test_rotation_validation():
         Embedding.build(g, signature={(0, 9): 1})
 
 
-def test_face_traversal_requires_connected():
+def test_euler_genus_requires_connected():
     g = Graph.build(range(4), [(0, 1), (2, 3)])
     with pytest.raises(EmbeddingError):
-        face_traversal(g, default_embedding(g))
+        default_embedding(g).euler_genus()
 
 
 def test_local_change_involution_and_signature_flip():
@@ -120,36 +119,6 @@ def test_cycle_validation():
         emb.cycle_signature([0, 1, 1])
 
 
-def test_normalize_signatures_tree_positive():
-    rng = random.Random(7)
-    for _ in range(25):
-        g = random_connected(rng)
-        emb = random_embedding(g, rng)
-        tree = g.spanning_tree()
-        norm = emb.normalize_signatures(tree)
-        assert all(norm.sig[e] > 0 for e in tree)
-        assert norm.equivalent(emb)
-        # already-normalized embeddings come back unchanged
-        assert norm.normalize_signatures(tree) == norm
-
-
-def test_normalize_preserves_cycle_signature():
-    g = cycle_graph(3)
-    emb = Embedding.build(g, signature={(0, 1): -1})
-    tree = ((0, 1), (1, 2))
-    norm = emb.normalize_signatures(tree)
-    assert all(norm.sig[e] > 0 for e in tree)
-    assert norm.cycle_signature([0, 1, 2]) == -1
-    assert norm.sig[(0, 2)] == -1  # the negative migrated to the cotree edge
-
-
-def test_normalize_rejects_non_spanning_tree():
-    g = complete(4)
-    emb = default_embedding(g)
-    with pytest.raises(EmbeddingError):
-        emb.normalize_signatures(((0, 1), (1, 2), (0, 2)))
-
-
 def test_orientability():
     g = complete(4)
     assert default_embedding(g).is_orientable()
@@ -174,64 +143,15 @@ def test_is_orientable_matches_naive_oracle():
     assert kinds == set(itertools.product((True, False), repeat=3)) - {(False, True, True)}
 
 
-def test_equivalence_basics():
-    g = complete(4)
-    emb = default_embedding(g)
-    assert emb.equivalent(emb.local_change(1))
-    assert emb.local_change(1).equivalent(emb)
-    assert emb.equivalent(emb.local_change_set({0, 2, 3}))
-
-
-def test_equivalence_of_cycle_embeddings():
-    # equivalent() against a search over every local-change subset, on
-    # local changes of a random embedding, on those with one sign flipped,
-    # one rotation reversed or two rotation entries swapped, and on a fresh
-    # signature; C3 alone: equivalent iff the cycle signature agrees
-    paw = Graph.build(range(4), [(0, 1), (0, 2), (1, 2), (2, 3)])
-    with_isolated = Graph.build(range(5), [(0, 1), (0, 2), (1, 2), (2, 3)])
-    c3 = cycle_graph(3)
-    rng = random.Random(5)
-    for g in (c3, complete(4), cycle_graph(4), complete_bipartite(2, 3),
-              paw, with_isolated):
-        subsets = [set(w) for r in range(g.n + 1)
-                   for w in itertools.combinations(g.vertices, r)]
-        verdicts = set()
-        for _ in range(40):
-            base = random_embedding(g, rng)
-            same = base.local_change_set(rng.choice(subsets))
-            rot, sig = same.rot, same.sig
-            e = rng.choice(g.edges)
-            v = rng.choice([x for x in g.vertices if g.degree(x) >= 2])
-            swapped = list(rot[v])
-            i, j = rng.sample(range(len(swapped)), 2)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            others = [same,
-                      Embedding.build(g, rot, {**sig, e: -sig[e]}),
-                      Embedding.build(g, {**rot, v: rot[v][::-1]}, sig),
-                      Embedding.build(g, {**rot, v: swapped}, sig),
-                      Embedding.build(g, base.rot, {f: rng.choice((-1, 1)) for f in g.edges})]
-            for other in others:
-                expected = any(base.local_change_set(w) == other for w in subsets)
-                assert base.equivalent(other) == expected
-                verdicts.add(expected)
-                if g == c3:
-                    assert expected == (base.cycle_signature([0, 1, 2])
-                                        == other.cycle_signature([0, 1, 2]))
-        assert verdicts == {True, False}
-
-
 def test_inequivalent_embeddings_of_k4():
     k4 = complete(4)
     planar = Embedding.build(k4, rotation={0: [1, 2, 3], 1: [0, 3, 2],
                                            2: [0, 1, 3], 3: [0, 2, 1]})
     toroidal = default_embedding(k4)  # sorted rotations give genus 2
     assert toroidal.euler_genus() != planar.euler_genus()
-    assert not planar.equivalent(toroidal)
-
-
-def test_equivalence_requires_same_graph():
-    with pytest.raises(EmbeddingError):
-        default_embedding(complete(4)).equivalent(default_embedding(cycle_graph(4)))
+    # no set of local changes maps one to the other
+    assert all(planar.local_change_set(w) != toroidal
+               for r in range(k4.n + 1) for w in itertools.combinations(k4.vertices, r))
 
 
 def test_face_sizes_sum_matches_naive_oracle():
@@ -242,6 +162,22 @@ def test_face_sizes_sum_matches_naive_oracle():
         faces = emb.faces()
         assert sum(f.size for f in faces) == 2 * g.m
         assert len(faces) == naive_face_count(g, emb.rot, emb.sig)
+
+
+def test_faces_and_the_face_side_table_share_one_set_of_walks():
+    # faces() is the table's walks in key order, traced once: each face is
+    # the walk the table numbers, with the edges and vertices it records
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_connected(rng)
+        emb = random_embedding(g, rng)
+        table = emb._face_sides
+        vbit = {v: 1 << k for k, v in enumerate(g.vertices)}
+        ebit = {e: 1 << i for i, e in enumerate(g.edges)}
+        for f, k in zip(emb.faces(), emb._face_numbers, strict=True):
+            assert f is emb._orbit_walks[k]
+            assert table.edges[k] == sum(ebit[e] for e in f.edge_set)
+            assert table.vertices[k] == sum(vbit[v] for v in f.vertex_set)
 
 
 def test_face_walk_canonical_key():

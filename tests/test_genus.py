@@ -17,7 +17,7 @@ from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, Surface, _
                                          genus_via_blocks, min_euler_genus)
 from conftest import (complete, complete_bipartite, cycle_graph, grid, minors_per_class, path_graph,
                       petersen, wheel)
-from oracles import (all_rotation_signatures, connected_graphs_up_to,
+from oracles import (all_rotation_signatures, all_signature_min_genus, connected_graphs_up_to,
                      naive_face_count, naive_genus, naive_is_orientable,
                      naive_orbit_lengths, unpruned_min_genus)
 
@@ -210,6 +210,16 @@ def test_against_unpruned_oracle_exhaustive():
         assert (prof.orientable_min, prof.nonorientable_min) == expected, g.edges
 
 
+def test_tree_positive_signatures_lose_no_minimum():
+    # every embedding is equivalent to one whose spanning-tree edges are
+    # positive, so the search and the unpruned oracle, which sign only
+    # cotree edges, reach both minima of the full space of 2^m signatures
+    graphs = connected_graphs_up_to(6)
+    assert len(graphs) == 53
+    for g in graphs:
+        assert all_signature_min_genus(g) == unpruned_min_genus(g), g.edges
+
+
 def cube() -> Graph:
     return Graph.build(range(8), [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
 
@@ -320,7 +330,7 @@ def test_one_search_per_side(monkeypatch):
         assert prof.exact
         # at most one search per side, the orientable one first
         assert [call[0] for call in calls] in ([], [True], [False], [True, False])
-        tree = set(g.spanning_tree())
+        tree = set(g.bfs[1])
         cotree = [e for e in g.edges if e not in tree]
         twisted = Embedding.build(g, prof.orientable_witness.rot, {cotree[0]: -1}).euler_genus()
         low = 2 - g.n + g.m - 2 * g.m // _SearchSpace(g).min_face

@@ -1,8 +1,10 @@
 """Every module-level import in the package and its tests is used by its
 module, every local name a function assigns is read, every private
 module-level function and class of the package is named somewhere, every
-public function of ``tests/oracles.py`` is named by a test file, and
-importing the package leaves networkx and mpmath unloaded.
+public function and method of the package is named by the package or
+the bench, every public function of ``tests/oracles.py`` is named by a
+test file, and importing the package leaves networkx and mpmath
+unloaded.
 
 No linter ships with the toolchain, so this is the check: each
 ``src/surface_minors/*.py`` and ``tests/*.py`` except ``__init__.py``
@@ -12,8 +14,13 @@ somewhere in that module.  Names read only inside string annotations
 count as read.  ``__future__`` imports are ignored.  A ``_``-prefixed
 module-level function or class of the package must be read, imported or
 reached as an attribute somewhere in the package or its tests outside
-its own definition.  A public function of ``tests/oracles.py`` must be
-named in some ``tests/test_*.py``.  A name that a function of the
+its own definition.  A public module-level function of the package, or
+a public method of one of its module-level classes, must be named in
+the package outside ``__init__.py`` and its own definition, or in
+``bench/*.py``, where the attribute paths in the strings of the bench's
+``TARGETS`` count too; ``LIBRARY_API`` lists the few that only callers
+outside the package reach.  A public function of ``tests/oracles.py``
+must be named in some ``tests/test_*.py``.  A name that a function of the
 package or its tests assigns must be read in that function or a scope
 nested in it, unless it starts with ``_`` or is declared ``global`` or
 ``nonlocal`` there.
@@ -34,6 +41,20 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS_DIR = Path(__file__).parent
 TESTS = sorted(p for p in TESTS_DIR.glob("*.py") if p.name != "conftest.py")
 EVERY_FILE = sorted(PACKAGE.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
+BENCH = sorted((TESTS_DIR.parent / "bench").glob("*.py"))
+
+# Public names that neither the package nor the bench names, kept for
+# callers of the library, each with the reason it stays.
+LIBRARY_API = (
+    ("cycle_signature", "the sidedness of one given cycle, the invariant the "
+                        "classification reads, as a question a caller can ask"),
+    ("is_nested", "nesting of two given cycles, validated; the chain search "
+                  "reads the same test on cycles it has already classified"),
+    ("graph6_encode", "the inverse of graph6_decode, so graphs leave in the "
+                      "format the command line reads"),
+    ("check_superadditive", "the property the paper needs of a bound function, "
+                            "checkable on any candidate a caller builds"),
+)
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -168,6 +189,63 @@ def test_private_definitions_are_named():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in EVERY_FILE}
     package = [tree for path, tree in trees.items() if path.parent == PACKAGE]
     assert _unnamed_private_definitions(package, list(trees.values())) == []
+
+
+def _statements(tree: ast.Module) -> list[ast.AST]:
+    """The module-level statements of ``tree``, each class split into
+    its bases, decorators and body statements."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += node.bases + node.decorator_list + node.body
+        else:
+            out.append(node)
+    return out
+
+
+def _target_paths(tree: ast.Module) -> set[str]:
+    """The parts of the dotted strings in the module's ``TARGETS``."""
+    return {part for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            for part in sub.value.split(".")}
+
+
+def _unnamed_public_definitions(defining: list[ast.Module],
+                                every: list[ast.Module]) -> list[str]:
+    """The public module-level functions, and public methods of
+    module-level classes, of the ``defining`` modules that no statement
+    of ``every`` (see ``_statements``) names, their own definitions
+    aside, and that no ``TARGETS`` string of ``every`` names."""
+    named = [(stmt, _names(stmt)) for tree in every for stmt in _statements(tree)]
+    targets = set().union(*map(_target_paths, every))
+    return [node.name for tree in defining for node in _statements(tree)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in targets
+            and not any(node.name in names for stmt, names in named if stmt is not node)]
+
+
+def test_public_definitions_are_named_by_the_package_or_the_bench():
+    # a public function that only tests reach is code kept for the tests
+    package = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in BENCH]
+    assert sorted(_unnamed_public_definitions(package, package + bench)) == \
+        sorted(name for name, _ in LIBRARY_API)
+
+
+def test_checker_flags_an_unnamed_public_definition():
+    module = ast.parse("def recursive(n):\n"
+                       "    return recursive(n - 1) if n else 0\n"
+                       "def called(): pass\n"
+                       "class C:\n"
+                       "    def method(self): return self.other()\n"
+                       "    def other(self): return called()\n"
+                       "    def traced(self): pass\n"
+                       "    def _private(self): pass\n"
+                       "    def __repr__(self): return ''\n")
+    bench = ast.parse("TARGETS = (('m.span', 'm', 'C.traced', None),)\n")
+    assert _unnamed_public_definitions([module], [module, bench]) == ["recursive", "method"]
 
 
 def _unnamed_public_functions(defining: ast.Module, every: list[ast.Module]) -> list[str]:
