@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Edge, Graph, edge_key, parse_graph, graph_to_json
+from .graph import Edge, Graph, GraphError, edge_key, parse_graph, graph_to_json
 
 
 class EmbeddingError(ValueError):
@@ -209,8 +209,10 @@ class Embedding:
         neg = [sig[e] < 0 for e in graph.edges]
         nstates = 4 * graph.m
         succ = [0] * nstates
+        out_darts = graph._out_darts
         for v, order in self.rotation:
-            for s, t in successor_pairs([dart(graph, v, w) for w in order], neg):
+            at = out_darts[v]
+            for s, t in successor_pairs([at[w] for w in order], neg):
                 succ[s] = t
         seen = bytearray(nstates)
         out = []
@@ -483,7 +485,8 @@ def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
 #
 # Edge i = graph.edges[i] = (u, v), u < v, has dart 2i from u to v and
 # dart 2i + 1 back: the dart from v to w is 2i + (v > w) for its edge i
-# (``dart``), its reverse is d ^ 1 and its edge is edges[d >> 1].  A
+# (``dart``, read from the graph's cached dart table, which also holds
+# each dart's ends), its reverse is d ^ 1 and its edge is edges[d >> 1].  A
 # traversal state is 2d + o: dart d walked with rotations read forward
 # (o = 0) or backward (o = 1, after an odd number of negative
 # signatures); there are 4m states.  A state entering a vertex along
@@ -494,18 +497,17 @@ def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
 
 
 def dart(graph: Graph, v: int, w: int) -> int:
-    """The dart from v to w."""
-    return 2 * graph._edge_index[edge_key(v, w)] + (v > w)
+    """The dart from v to w, read from the graph's dart table."""
+    try:
+        return graph._out_darts[v][w]
+    except KeyError:
+        raise GraphError(f"no edge {v}-{w} in the graph") from None
 
 
 def dart_ends(graph: Graph, darts: Iterable[int]) -> tuple[Dart, ...]:
     """(tail, head) of each dart."""
-    edges = graph.edges
-    out = []
-    for d in darts:
-        u, v = edges[d >> 1]
-        out.append((v, u) if d & 1 else (u, v))
-    return tuple(out)
+    ends = graph._dart_ends
+    return tuple(ends[d] for d in darts)
 
 
 def rotations(items: Sequence, fixed: bool = False) -> list[tuple]:

@@ -93,6 +93,21 @@ class Graph:
         """Position of each edge in ``edges`` (darts are numbered from it)."""
         return {e: i for i, e in enumerate(self.edges)}
 
+    @cached_property
+    def _out_darts(self) -> dict[int, dict[int, int]]:
+        """Per vertex, its dart to each neighbour: edge i = ``edges[i]`` =
+        (u, v) has dart 2i from u to v and dart 2i + 1 back."""
+        out: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
+        for i, (u, v) in enumerate(self.edges):
+            out[u][v] = 2 * i
+            out[v][u] = 2 * i + 1
+        return out
+
+    @cached_property
+    def _dart_ends(self) -> tuple[Edge, ...]:
+        """(tail, head) of each dart, numbered as in ``_out_darts``."""
+        return tuple(d for u, v in self.edges for d in ((u, v), (v, u)))
+
     # -- subgraphs and components ----------------------------------------
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":

@@ -104,10 +104,13 @@ def is_nested(graph: Graph, emb: Embedding, inner: Sequence[int],
 
 
 def _nested(ain: CycleAnalysis, aout: CycleAnalysis) -> bool:
-    """``is_nested`` on two classified cycles."""
+    """``is_nested`` on two classified cycles, by bit masks: a face's
+    vertices include the ends of its edges, so when C_in's edges lie in
+    the union of the Int side's face edge masks, its vertices lie in the
+    union of their vertex masks."""
     if not (ain.is_contractible and aout.is_contractible):
         return False
-    return aout.int_vertices.issuperset(ain.cycle) and ain.edges <= aout.int_edges
+    return not ain.edge_mask & ~aout.int_edge_mask
 
 
 def _face_certifies(face: FaceWalk, c_outer: tuple[int, ...], c_inner: tuple[int, ...],

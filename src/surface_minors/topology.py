@@ -199,14 +199,16 @@ class CycleAnalysis:
         return self.classification.contractible
 
     @cached_property
-    def int_vertices(self) -> frozenset[int]:
-        """C and the vertices on its disk side."""
-        return self.side_vertices(self.int_side())
+    def edge_mask(self) -> int:
+        """C's edges as a bit mask over ``graph.edges``."""
+        index = self.graph._edge_index
+        return sum(1 << index[e] for e in self.edges)
 
     @cached_property
-    def int_edges(self) -> frozenset[Edge]:
-        """C's edges and the edges on its disk side."""
-        return self.side_edges(self.int_side())
+    def int_edge_mask(self) -> int:
+        """C's edges and the edges on its disk side, as a bit mask over
+        ``graph.edges``."""
+        return _union(self.embedding._face_sides.edges, self._side_faces(self.int_side()))
 
     def int_side(self) -> str:
         if not self.classification.contractible:
@@ -237,8 +239,7 @@ class CycleAnalysis:
         a disk has no inside faces."""
         inside = self._side_faces(self.int_side())
         masks = self.embedding._face_sides.edges
-        index = self.graph._edge_index
-        off_cycle = ~sum(1 << index[e] for e in self.edges)
+        off_cycle = ~self.edge_mask
         return tuple(f for f, k in zip(self.embedding.faces(), self.embedding._face_numbers)
                      if inside >> k & 1 and masks[k] & off_cycle)
 

@@ -42,12 +42,19 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for _, b in self.bags), default=1) - 1
 
+    @cached_property
+    def _masks(self) -> dict[int, int]:
+        """Each node's bag as a bit mask over the sorted union of the bags."""
+        index = {v: i for i, v in enumerate(sorted({v for _, b in self.bags for v in b}))}
+        return {t: sum(1 << index[v] for v in b) for t, b in self.bags}
+
     def weight(self, nodes) -> int:
         """Number of distinct vertices in the bags of the given tree nodes."""
-        out: set[int] = set()
+        masks = self._masks
+        out = 0
         for t in nodes:
-            out.update(self.bag[t])
-        return len(out)
+            out |= masks[t]
+        return out.bit_count()
 
     def to_json_obj(self) -> dict:
         return {"tree_edges": [list(e) for e in self.tree.edges],
@@ -296,60 +303,112 @@ def compute_tree_decomposition(graph: Graph, mode: str = "exact") -> tuple[TreeD
 # ---------------------------------------------------------------------------
 
 
-def _branches(tree: Graph, t0: int) -> list[list[int]]:
-    """Node sets of the components of tree - t0."""
-    rest = tree.subgraph([t for t in tree.vertices if t != t0])
-    return [sorted(c) for c in rest.components()]
-
-
 def balanced_1_separation(td: TreeDecomposition) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Subtrees (T1, T2) overlapping exactly in a node t0 with both bag
     unions minus the t0 bag weighing in [1/3, 2/3] of |V(H) - V_t0|.
 
-    Scans candidate nodes in id order and groups branches greedily;
-    deterministic.  The balanced separator theorem guarantees a feasible
+    One pass over each tree component, rooted at its least node, gives
+    every node the bit mask of the vertices in its subtree's bags
+    (bottom-up) and of those in the rest of its component (top-down,
+    from the parent's with prefix and suffix ORs over the siblings).
+    The branches of tree - t0 are then t0's child subtrees, the rest of
+    t0's component and the other components, and a branch weighs the
+    popcount of its mask outside the t0 bag.  Candidate nodes are
+    scanned in id order, branches ordered by their least node and
+    grouped heaviest-first by a stable greedy; node lists are built
+    only for the chosen node.  The result equals that of building
+    tree - t0 and its components for every candidate in turn.
+    Deterministic; the balanced separator theorem guarantees a feasible
     node exists.
     """
     tree = td.tree
     if tree.n == 1:
         t0 = tree.vertices[0]
         return (t0,), (t0,), t0
-    all_vertices: set[int] = set()
-    for _, b in td.bags:
-        all_vertices.update(b)
+    adj = tree._adj
+    masks = td._masks
+    # root each component at its least node; parents precede children in order
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    root: dict[int, int] = {}
+    order: list[int] = []
+    roots: list[int] = []
+    for r in tree.vertices:
+        if r in root:
+            continue
+        roots.append(r)
+        root[r] = r
+        i = len(order)
+        order.append(r)
+        while i < len(order):
+            t = order[i]
+            i += 1
+            children[t] = [c for c in adj[t] if c not in root]
+            for c in children[t]:
+                root[c] = r
+                parent[c] = t
+            order += children[t]
+    if tree.m != tree.n - len(roots):
+        raise TreeDecompositionError("decomposition tree has a cycle")
+    # below[t]: bags of t's subtree; least[t]: its least node
+    below = dict(masks)
+    least = {t: t for t in order}
+    for t in reversed(order):
+        p = parent.get(t)
+        if p is not None:
+            below[p] |= below[t]
+            least[p] = min(least[p], least[t])
+    # above[t]: bags of t's component outside t's subtree
+    above = {r: 0 for r in roots}
+    for t in order:
+        kids = children[t]
+        after = [0] * (len(kids) + 1)
+        for j in range(len(kids) - 1, -1, -1):
+            after[j] = after[j + 1] | below[kids[j]]
+        before = above[t] | masks[t]
+        for j, c in enumerate(kids):
+            above[c] = before | after[j + 1]
+            before |= below[c]
+    everything = 0
+    for r in roots:
+        everything |= below[r]
     for t0 in tree.vertices:
-        bag0 = set(td.bag[t0])
-        branches = _branches(tree, t0)
-        weights = []
-        for br in branches:
-            w: set[int] = set()
-            for t in br:
-                w.update(td.bag[t])
-            weights.append(len(w - bag0))
-        total = len(all_vertices - bag0)
+        # each branch of tree - t0 as (least node, a node of it, bag mask)
+        branches = [(least[c], c, below[c]) for c in children[t0]]
+        if t0 in parent:
+            branches.append((root[t0], parent[t0], above[t0]))
+        branches += [(r, r, below[r]) for r in roots if r != root[t0]]
+        branches.sort()
+        outside = ~masks[t0]
+        weights = [(m & outside).bit_count() for _, _, m in branches]
+        total = (everything & outside).bit_count()
         if total == 0:
-            group = branches[:len(branches) // 2] or []
-            t1 = tuple(sorted({t0} | {t for br in group for t in br}))
-            t2 = tuple(sorted(set(tree.vertices) - set(t1) | {t0}))
-            return t1, t2, t0
-        lo = (total + 2) // 3          # ceil(total/3)
-        hi = (2 * total) // 3          # floor(2 total/3)
-        if any(w > hi for w in weights):
-            continue
-        # greedy: add branches heaviest-first until reaching lo
-        idx = sorted(range(len(branches)), key=lambda i: -weights[i])
-        acc = 0
-        group = []
-        for i in idx:
-            if acc >= lo:
-                break
-            acc += weights[i]
-            group.append(i)
-        if not (lo <= acc <= hi):
-            continue
-        side1 = {t0} | {t for i in group for t in branches[i]}
-        side2 = {t0} | {t for i in range(len(branches)) if i not in group
-                        for t in branches[i]}
+            group = list(range(len(branches) // 2))
+        else:
+            lo = (total + 2) // 3          # ceil(total/3)
+            hi = (2 * total) // 3          # floor(2 total/3)
+            if any(w > hi for w in weights):
+                continue
+            # greedy: add branches heaviest-first until reaching lo
+            idx = sorted(range(len(branches)), key=lambda i: -weights[i])
+            acc = 0
+            group = []
+            for i in idx:
+                if acc >= lo:
+                    break
+                acc += weights[i]
+                group.append(i)
+            if not (lo <= acc <= hi):
+                continue
+        # the nodes of the grouped branches, reached from one node of each
+        side1 = {t0} | {branches[i][1] for i in group}
+        stack = [branches[i][1] for i in group]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in side1:
+                    side1.add(w)
+                    stack.append(w)
+        side2 = set(tree.vertices) - side1 | {t0}
         return tuple(sorted(side1)), tuple(sorted(side2)), t0
     raise TreeDecompositionError("no balanced 1-separation found; theorem violated")
 
@@ -398,16 +457,16 @@ def balanced_separation_sequence(graph: Graph, td: TreeDecomposition,
             raise TreeDecompositionError(
                 f"hypothesis violated: bag {t} has {len(b)} > |V|/(4k) "
                 f"= {nv}/(4*{k}) vertices")
-    parts: list[tuple[int, ...]] = [tuple(td.tree.vertices)]
+    # each part with its weight, taken once when the part is made
+    parts = [(td.weight(td.tree.vertices), td.tree.vertices)]
     while len(parts) < k:
-        parts.sort(key=lambda p: (td.weight(p), p))
-        heavy = parts.pop()
+        parts.sort()
+        _, heavy = parts.pop()
         sub_tree = td.tree.subgraph(heavy)
         sub_td = TreeDecomposition.build(sub_tree, {t: td.bag[t] for t in heavy})
         t1, t2, _ = balanced_1_separation(sub_td)
-        parts.append(t1)
-        parts.append(t2)
-    seq = SeparationSequence(td, tuple(sorted(parts)))
+        parts += [(td.weight(t1), t1), (td.weight(t2), t2)]
+    seq = SeparationSequence(td, tuple(sorted(p for _, p in parts)))
     limit = math.floor(math.log(3 * k) / math.log(4 / 3))
     weights = seq.weights
     if not all(wa <= 3 * wb for wa in weights for wb in weights):

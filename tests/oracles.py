@@ -4,11 +4,13 @@ Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
 no pruning and no symmetry reduction, treewidth is minimized over all
-elimination orderings or by the recurrence over all vertex subsets,
-isomorphism classes are settled pair by pair with networkx VF2, a
-cycle's sides are found by a union-find over every edge off it, homotopy
-is decided by a second cut and by counting cycle copies in its pieces,
-and the longest well-nested chain walks every path of the nesting DAG.
+elimination orderings or by the recurrence over all vertex subsets, a
+balanced 1-separation rebuilds tree - t0 and its components for each
+candidate node, isomorphism classes are settled pair by pair with
+networkx VF2, a cycle's sides are found by a union-find over every edge
+off it, homotopy is decided by a second cut and by counting cycle copies
+in its pieces, and the longest well-nested chain walks every path of
+the nesting DAG.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from surface_minors.topology import (CutResult, CycleAnalysis, CycleClassificati
                                      TopologyError, _cycle_edges, _intersection_components,
                                      classify_cycle, induced_embedding)
 from surface_minors.structure import (ChainResult, WellNestedKind, enumerate_cycles,
-                                      _classify_pinches, _nested)
+                                      _classify_pinches)
+from surface_minors.treedecomp import TreeDecomposition, TreeDecompositionError
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,82 @@ def subset_dp_treewidth(graph: Graph) -> int:
                     val = c
             best[s] = val
     return best[full]
+
+
+# ---------------------------------------------------------------------------
+# Naive balanced 1-separation
+# ---------------------------------------------------------------------------
+
+
+def _branches(tree: Graph, t0: int) -> list[list[int]]:
+    """Node sets of the components of tree - t0."""
+    rest = tree.subgraph([t for t in tree.vertices if t != t0])
+    return [sorted(c) for c in rest.components()]
+
+
+def naive_balanced_1_separation(td: TreeDecomposition
+                                ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``treedecomp.balanced_1_separation`` by building tree - t0 and its
+    components for every candidate node t0 in id order, and weighing
+    each branch by a set union of its bags."""
+    tree = td.tree
+    if tree.n == 1:
+        t0 = tree.vertices[0]
+        return (t0,), (t0,), t0
+    all_vertices: set[int] = set()
+    for _, b in td.bags:
+        all_vertices.update(b)
+    for t0 in tree.vertices:
+        bag0 = set(td.bag[t0])
+        branches = _branches(tree, t0)
+        weights = []
+        for br in branches:
+            w: set[int] = set()
+            for t in br:
+                w.update(td.bag[t])
+            weights.append(len(w - bag0))
+        total = len(all_vertices - bag0)
+        if total == 0:
+            group = branches[:len(branches) // 2] or []
+            t1 = tuple(sorted({t0} | {t for br in group for t in br}))
+            t2 = tuple(sorted(set(tree.vertices) - set(t1) | {t0}))
+            return t1, t2, t0
+        lo = (total + 2) // 3          # ceil(total/3)
+        hi = (2 * total) // 3          # floor(2 total/3)
+        if any(w > hi for w in weights):
+            continue
+        # greedy: add branches heaviest-first until reaching lo
+        idx = sorted(range(len(branches)), key=lambda i: -weights[i])
+        acc = 0
+        group = []
+        for i in idx:
+            if acc >= lo:
+                break
+            acc += weights[i]
+            group.append(i)
+        if not (lo <= acc <= hi):
+            continue
+        side1 = {t0} | {t for i in group for t in branches[i]}
+        side2 = {t0} | {t for i in range(len(branches)) if i not in group
+                        for t in branches[i]}
+        return tuple(sorted(side1)), tuple(sorted(side2)), t0
+    raise TreeDecompositionError("no balanced 1-separation found; theorem violated")
+
+
+def naive_separation_parts(td: TreeDecomposition, k: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of ``treedecomp.balanced_separation_sequence``: split the
+    heaviest part (weight, then nodes) with
+    ``naive_balanced_1_separation`` until there are k, weighing every
+    part by a set union of its bags on every round."""
+    parts = [tuple(td.tree.vertices)]
+    while len(parts) < k:
+        parts.sort(key=lambda p: (len(set().union(*(td.bag[t] for t in p))), p))
+        heavy = parts.pop()
+        sub_td = TreeDecomposition.build(td.tree.subgraph(heavy),
+                                         {t: td.bag[t] for t in heavy})
+        t1, t2, _ = naive_balanced_1_separation(sub_td)
+        parts += [t1, t2]
+    return tuple(sorted(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +708,17 @@ def exhaustive_chain(graph: Graph, emb: Embedding, budget: int = 100_000,
     of the nesting DAG, from each start in turn, taking successors in
     index order and extending a chain only while its kinds stay uniform.
     The first longest chain found is kept: the lexicographically least
-    index sequence of the best length.  The nested pairs and their kinds
+    index sequence of the best length.  A cycle nests in another when its
+    vertices and edges lie in the sets of the other's Int side; the kinds
     are read as the package reads them."""
     cycles, exact = enumerate_cycles(graph, budget)
     analyses = [(c, a) for c in cycles
                 if (a := classify_cycle(graph, emb, c, outer_face=outer_face)).is_contractible]
     n = len(analyses)
+    interiors = [(a.side_vertices(a.int_side()), a.side_edges(a.int_side())) for _, a in analyses]
     nested_in = {}
     for i, j in itertools.permutations(range(n), 2):
-        if _nested(analyses[i][1], analyses[j][1]):
+        if interiors[j][0].issuperset(analyses[i][0]) and analyses[i][1].edges <= interiors[j][1]:
             kind = _classify_pinches(emb, analyses[j][0], analyses[i][0])
             if kind is not None:
                 nested_in[(i, j)] = kind

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surface_minors.graph import Graph
-from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk,
+from surface_minors.graph import Graph, GraphError, edge_key
+from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk, dart, dart_ends,
                                       default_embedding, random_embedding)
-from conftest import complete, cycle_graph, path_graph
+from conftest import complete, cycle_graph, path_graph, petersen, torus_grid
 from oracles import all_rotation_signatures, naive_face_count, naive_is_orientable
 
 
@@ -178,6 +178,20 @@ def test_faces_and_the_face_side_table_share_one_set_of_walks():
             assert f is emb._orbit_walks[k]
             assert table.edges[k] == sum(ebit[e] for e in f.edge_set)
             assert table.vertices[k] == sum(vbit[v] for v in f.vertex_set)
+
+
+def test_dart_table_numbers_darts_from_the_edge_index():
+    for g in (complete(7), petersen(), torus_grid(3, 3)[0]):
+        pairs = [(v, w) for v in g.vertices for w in g.neighbors(v)]
+        darts = [dart(g, v, w) for v, w in pairs]
+        assert darts == [2 * g._edge_index[edge_key(v, w)] + (v > w) for v, w in pairs]
+        assert sorted(darts) == list(range(2 * g.m))
+        assert dart_ends(g, darts) == tuple(pairs)
+        non_edges = [(v, w) for v, w in itertools.permutations(g.vertices, 2)
+                     if w not in g.neighbors(v)]
+        for v, w in non_edges + [(0, 0), (0, max(g.vertices) + 1)]:
+            with pytest.raises(GraphError):
+                dart(g, v, w)
 
 
 def test_face_walk_canonical_key():

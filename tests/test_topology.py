@@ -44,7 +44,7 @@ def test_c5_sphere_bounds_disk():
     assert an.classification.contractible
     # both faces are C itself; the outer one is taken on the left side
     assert an.classification.disk_side == "right"
-    assert an.int_vertices - set(an.cycle) == frozenset()
+    assert an.side_vertices(an.int_side()) - set(an.cycle) == frozenset()
     assert an.faces_inside() == ()
 
 
@@ -277,6 +277,7 @@ def test_classify_cycle_matches_union_find_oracle():
                 got.left_genus, got.right_genus) == \
             (want.cycle, want.classification, want.end_side, want.flips, want.edges,
              want.left_genus, want.right_genus), cyc
+        assert got.edge_mask == sum(1 << g._edge_index[e] for e in want.edges)
         c = got.classification
         assert (got.left_faces is None) == (want.roots is None)
         if want.roots is not None:
@@ -284,8 +285,9 @@ def test_classify_cycle_matches_union_find_oracle():
                 vertices, edges, faces = _oracle_side(want, side)
                 assert (got.side_vertices(side), got.side_edges(side)) == (vertices, edges), cyc
                 if c.contractible and side == c.disk_side:
-                    assert (got.int_vertices, got.int_edges, got.faces_inside()) == \
-                        (vertices, edges, faces), cyc
+                    mask = sum(1 << g._edge_index[e] for e in edges)
+                    assert (got.int_side(), got.int_edge_mask, got.faces_inside()) == \
+                        (side, mask, faces), cyc
         kinds.add((c.sidedness, c.separating, c.contractible))
         if any(w in want.cycle for _, w in want.end_side):
             kinds.add("chord")

@@ -5,11 +5,13 @@ import pytest
 
 from surface_minors.bounds import floor_log_43
 from surface_minors.graph import Graph
-from surface_minors.treedecomp import (TreeDecompositionError, _decomposition_from_order,
+from surface_minors.treedecomp import (TreeDecomposition, TreeDecompositionError,
+                                       _decomposition_from_order, balanced_1_separation,
                                        balanced_separation_sequence,
                                        compute_tree_decomposition, min_fill_order, validate)
 from conftest import grid
-from oracles import brute_force_treewidth, connected_graphs_up_to, subset_dp_treewidth
+from oracles import (brute_force_treewidth, connected_graphs_up_to, naive_balanced_1_separation,
+                     naive_separation_parts, subset_dp_treewidth)
 
 
 def test_exact_width_against_elimination_oracle():
@@ -61,6 +63,7 @@ def test_balanced_separation_sequence_on_a_grid():
     assert td.width == 3
     for k in range(1, 7):
         parts = balanced_separation_sequence(g, td, k).parts
+        assert parts == naive_separation_parts(td, k)
         assert len(parts) == k
         assert set().union(*parts) == set(td.tree.vertices)
         weights = [len(set().union(*(td.bag[t] for t in p))) for p in parts]
@@ -72,3 +75,58 @@ def test_balanced_separation_sequence_on_a_grid():
     # at k = 7 a bag of 4 vertices exceeds |V|/(4k) = 96/28
     with pytest.raises(TreeDecompositionError):
         balanced_separation_sequence(g, td, 7)
+
+
+def _random_decomposition(rng: random.Random) -> TreeDecomposition:
+    """A random tree or forest on 1-25 shuffled node ids with random bags
+    over a small vertex pool: some empty, running intersection unchecked."""
+    n = rng.randint(1, 25)
+    ids = rng.sample(range(100), n)
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    if rng.random() < 0.3:
+        edges = [e for e in edges if rng.random() < 0.8]
+    pool = rng.randint(1, 12)
+    bags = {t: rng.sample(range(pool), rng.randint(0, min(pool, 4))) for t in ids}
+    return TreeDecomposition.build(Graph.build(ids, edges), bags)
+
+
+def test_balanced_1_separation_matches_the_naive_scan():
+    rng = random.Random(24)
+    outcomes = {"balanced": 0, "all in one bag": 0, "error": 0, "forest": 0}
+    for _ in range(1500):
+        td = _random_decomposition(rng)
+        try:
+            want = naive_balanced_1_separation(td)
+        except TreeDecompositionError as exc:
+            with pytest.raises(TreeDecompositionError, match=str(exc)):
+                balanced_1_separation(td)
+            outcomes["error"] += 1
+            continue
+        assert balanced_1_separation(td) == want, td
+        in_one = td.weight(td.tree.vertices) == len(td.bag[want[2]])
+        outcomes["all in one bag" if in_one else "balanced"] += 1
+        outcomes["forest"] += not td.tree.is_connected()
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_balanced_1_separation_rejects_a_cyclic_tree():
+    tree = Graph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    td = TreeDecomposition.build(tree, {t: [t] for t in range(4)})
+    with pytest.raises(TreeDecompositionError, match="cycle"):
+        balanced_1_separation(td)
+
+
+def test_separation_sequence_on_a_path_decomposition_matches_the_naive_sequence():
+    # a width-6 path decomposition of the 6 x 60 grid, vertex ids shuffled:
+    # windows of 7 consecutive vertices in column-major order
+    rows, cols = 6, 60
+    perm = list(range(rows * cols))
+    random.Random(1).shuffle(perm)
+    g = Graph.build(perm, [(perm[u], perm[v]) for u, v in grid(rows, cols).edges])
+    order = [perm[r * cols + c] for c in range(cols) for r in range(rows)]
+    nodes = len(order) - rows
+    td = TreeDecomposition.build(Graph.build(range(nodes), [(t, t + 1) for t in range(nodes - 1)]),
+                                 {t: order[t:t + rows + 1] for t in range(nodes)})
+    assert validate(g, td) == (True, None)
+    for k in (6, 12):
+        assert balanced_separation_sequence(g, td, k).parts == naive_separation_parts(td, k)
