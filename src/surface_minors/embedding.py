@@ -10,10 +10,13 @@ recurs in the starting sense.
 
 The traversal is realized on the state space of (directed edge,
 orientation flag) pairs; a face corresponds to a mirror pair of orbits
-of the successor permutation, so faces come out of orbit counting with
-each edge traversed exactly twice overall.  The dart kernel at the end
-of this module numbers darts and states and writes the successor rule
-once, for face tracing and for the genus search alike.
+of the successor permutation, and each edge is traversed exactly twice
+overall.  Each face is walked once, along the orbit that holds its
+least state; the states of the mirror orbit are marked, not walked.
+Faces are ordered by integer keys, read from each dart's rank in
+(tail, head) order.  The dart kernel at the end of this module numbers
+darts and states and writes the successor rule once, for face tracing
+and for the genus search alike.
 """
 
 from __future__ import annotations
@@ -59,43 +62,68 @@ class FaceWalk:
         """Canonical form: lexicographic minimum over rotations of the walk
         and of its reversal.  Two walks describe the same face iff their
         keys agree."""
-        return min(_cyclic_rotations(self.darts),
-                   _cyclic_rotations(tuple((b, a) for a, b in reversed(self.darts))))
+        return min(_least_rotation(self.darts),
+                   _least_rotation(tuple((b, a) for a, b in reversed(self.darts))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FaceWalk({'-'.join(str(d[0]) for d in self.darts)})"
 
 
-def _cyclic_rotations(seq: tuple) -> tuple:
-    """The least rotation of ``seq``.  It starts with the least element,
-    so only rotations starting there are built: O(len) unless that
-    element repeats, as a dart may in a nonorientable facial walk."""
+def _least_rotation(seq: Sequence) -> Sequence:
+    """The least rotation of ``seq``, a tuple or a list.  It starts with
+    the least element, so only rotations starting there are built: O(len)
+    unless that element repeats, as a dart may in a nonorientable facial
+    walk."""
     if not seq:
         return seq
     least = min(seq)
-    return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == least)
+    i = seq.index(least)
+    best = seq[i:] + seq[:i]
+    for _ in range(seq.count(least) - 1):
+        i = seq.index(least, i + 1)
+        best = min(best, seq[i:] + seq[:i])
+    return best
+
+
+def _face_key(orbit: Sequence[int], rank: Sequence[int]) -> list[int]:
+    """``FaceWalk.key`` of the face that ``orbit`` walks, with each dart
+    replaced by its rank (``Graph._dart_rank``): the least rotation of
+    the walk's ranks and of its reversal's.  Ranks compare as darts do,
+    so these keys order and tell apart faces as ``FaceWalk.key`` does."""
+    return min(_least_rotation([rank[s >> 1] for s in orbit]),
+               _least_rotation([rank[(s >> 1) ^ 1] for s in reversed(orbit)]))
 
 
 @dataclass(frozen=True)
 class _FaceSides:
     """What ``topology.classify_cycle`` reads of an embedding's faces.
 
-    Faces are numbered in the order of their least traversal states
-    (``Embedding._face_numbers`` gives the number of each face of
-    ``faces()``), and a face set is a bit mask over those numbers.  The
-    dual graph has a node per face and, per edge, a link between the
-    faces on its two sides; ``below`` and ``homology`` refer to a BFS
-    spanning forest of it.  An edge set is a cut of the dual graph, so
-    zero in Z2 homology, exactly when the XOR of its homology masks is
-    0; the XOR of its below masks is then the side of the cut that does
-    not hold the root of the dual tree.
+    Faces are numbered as ``Embedding.orbits`` walks them, in the order
+    of their least traversal states (``Embedding._face_numbers`` gives
+    the number of each face of ``faces()``), and a face set is a bit
+    mask over those numbers.  The dual graph has a node per face and,
+    per edge, a link between the faces on its two sides; an edge's
+    homology mask and below mask refer to a BFS spanning forest of it.
+    The homology mask has a bit per dual edge off the forest whose
+    fundamental dual cycle uses the edge; the below mask holds the faces
+    below a forest edge, and is 0 off the forest.  An edge set is a cut
+    of the dual graph, so zero in Z2 homology, exactly when the XOR of
+    its homology masks is 0; the XOR of its below masks is then the side
+    of the cut that does not hold the root of the dual tree.
+
+    Each edge packs its sign and both masks into one word,
+    ``negative | homology << 1 | below << shift``, so the XOR of the
+    words of an edge set holds the parity of its negative edges, the XOR
+    of its homology masks (``word & homology_bits``) and the XOR of its
+    below masks (``word >> shift``).
     """
 
     face_of: list[int]          # per traversal state, its face
-    homology: list[int]         # per edge, a bit per edge off the forest whose
-                                # fundamental dual cycle uses it
-    below: list[int]            # per forest edge, the faces below it; 0 off it
-    component: list[int]        # per face, the faces of its dual component
+    word: dict[tuple[int, int], int]    # per edge, under (v, w) and (w, v)
+    shift: int                  # where the below mask starts in a word
+    homology_bits: int          # the bits of a word that hold the homology mask
+    component: list[tuple[int, int]]    # per face, its dual component's faces and
+                                        # Euler genus, one tuple per component
     vertices: list[int]         # per face, its vertices, over graph.vertices
     edges: list[int]            # per face, its edges, over graph.edges
     least: int                  # the faces with the key of faces()[0]
@@ -200,13 +228,19 @@ class Embedding:
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the successor permutation on traversal states (see
-        the dart kernel below), each from its smallest state.  Tuples of
-        ints, which the garbage collector stops tracking, since every
-        embedding keeps them."""
+        """One orbit of the successor permutation per face (see the dart
+        kernel below): the orbit holding the face's least traversal
+        state, from that state, in the order of those states.
+
+        A walk marks each state and its mirror, so the face's other
+        orbit, the mirrors in reverse order, is never walked.  Each step
+        from s to t checks that the mirror of t steps to the mirror of
+        s, and a walk must not meet a marked state but its first one:
+        so the successor rule is a permutation whose orbits pair up, and
+        no orbit is its own mirror.  Tuples of ints, which the garbage
+        collector stops tracking, since every embedding keeps them."""
         graph = self.graph
-        sig = self.sig
-        neg = [sig[e] < 0 for e in graph.edges]
+        neg = [s < 0 for _, s in self.signature]
         nstates = 4 * graph.m
         succ = [0] * nstates
         out_darts = graph._out_darts
@@ -214,25 +248,30 @@ class Embedding:
             at = out_darts[v]
             for s, t in successor_pairs([at[w] for w in order], neg):
                 succ[s] = t
-        seen = bytearray(nstates)
+        flip = [2 if n else 3 for n in neg]     # the mirror of s is s ^ flip[s >> 2]
+        marked = bytearray(nstates)
         out = []
         for s0 in range(nstates):
-            if seen[s0]:
+            if marked[s0]:
                 continue
             orbit = []
-            s = s0
-            while not seen[s]:
-                seen[s] = 1
+            s, ms = s0, s0 ^ flip[s0 >> 2]
+            while True:
+                marked[s] = marked[ms] = 1
                 orbit.append(s)
-                s = succ[s]
+                t = succ[s]
+                mt = t ^ flip[t >> 2]
+                if succ[mt] != ms or (t != s0 and marked[t]):
+                    raise EmbeddingError("face orbits do not pair up; "
+                                         "traversal invariant broken")
+                if t == s0:
+                    break
+                s, ms = t, mt
             out.append(tuple(orbit))
         return tuple(out)
 
     def face_count(self) -> int:
-        n = len(self.orbits)
-        if n % 2:
-            raise EmbeddingError("face orbits failed to pair up")
-        return n // 2 if n else 1  # edgeless graph: one face
+        return len(self.orbits) or 1  # edgeless graph: one face
 
     def faces(self) -> tuple[FaceWalk, ...]:
         """All facial walks, one per face, deterministically ordered.
@@ -248,68 +287,43 @@ class Embedding:
 
     @cached_property
     def _face_numbers(self) -> tuple[int, ...]:
-        """The number of each face of ``faces()`` in the face-side table:
-        its place in the order of the faces' least states."""
-        walks = self._orbit_walks
-        return tuple(sorted(range(len(walks)), key=lambda k: walks[k].key))
+        """The number of each face of ``faces()`` in the face-side table,
+        sorted by the faces' integer keys (``_face_key``)."""
+        rank = self.graph._dart_rank
+        keys = [_face_key(orb, rank) for orb in self.orbits]
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     @cached_property
     def _orbit_walks(self) -> tuple[FaceWalk, ...]:
-        """One walk per face, in the order of the faces' least states (the
-        face-side table's order), each read from the face's orbit with
-        the least state."""
-        edges = self.graph.edges
-        sig = self.sig
-        orbit_of = [0] * (4 * self.graph.m)
-        for i, orb in enumerate(self.orbits):
-            for s in orb:
-                orbit_of[s] = i
-        done = set()
-        walks = []
-        for i, orb in enumerate(self.orbits):
-            if i in done:
-                continue
-            # the orbit of the mirror of its first state 2d + o
-            d, o = orb[0] >> 1, orb[0] & 1
-            j = orbit_of[2 * (d ^ 1) + (o ^ 1 ^ (sig[edges[d >> 1]] < 0))]
-            if j == i:
-                raise EmbeddingError("self-mirror face orbit; traversal invariant broken")
-            done.add(i)
-            done.add(j)
-            walks.append(FaceWalk(dart_ends(self.graph, [s >> 1 for s in orb])))
-        return tuple(walks)
+        """The walk of each face, in the face-side table's order."""
+        graph = self.graph
+        return tuple(FaceWalk(dart_ends(graph, [s >> 1 for s in orb])) for orb in self.orbits)
 
     @cached_property
     def _face_sides(self) -> "_FaceSides":
         """The face-side table of this embedding, built on first use from
-        the orbits: of the facial walks only those of edge 0's faces are
-        built.  Faces are numbered in the order of their least states,
-        and face sets are bit masks over those numbers."""
+        the orbits, one face per orbit; no facial walk is built."""
         graph = self.graph
         edges = graph.edges
         neg = [s < 0 for _, s in self.signature]
+        flip = [2 if n else 3 for n in neg]
         vindex = {v: k for k, v in enumerate(graph.vertices)}
         tail = [1 << vindex[v] for e in edges for v in e]    # per dart
         face_of = [-1] * (4 * graph.m)
         vertex_masks, edge_masks = [], []
-        for orb in self.orbits:
-            if face_of[orb[0]] >= 0:
-                continue  # the mirror orbit of a face already numbered
-            k = len(vertex_masks)
+        for k, orb in enumerate(self.orbits):
             vmask = emask = 0
             for s in orb:
-                d = s >> 1
-                # the state and its mirror 2 (d ^ 1) + (o ^ 1 ^ neg) are one face
-                face_of[s] = face_of[2 * (d ^ 1) + ((s & 1) ^ 1 ^ neg[d >> 1])] = k
-                emask |= 1 << (d >> 1)
-                vmask |= tail[d]
+                face_of[s] = face_of[s ^ flip[s >> 2]] = k
+                emask |= 1 << (s >> 2)
+                vmask |= tail[s >> 1]
             vertex_masks.append(vmask)
             edge_masks.append(emask)
-        # faces()[0], the face with the least key, walks the least dart,
-        # dart 0, so it is the face of state 0 or of state 1: orbit 0, or
-        # orbit 1 when that is another face
-        keys = {face_of[orb[0]]: FaceWalk(dart_ends(graph, [s >> 1 for s in orb])).key
-                for orb in self.orbits[:1 + (face_of[0] != face_of[1])]}
+        # faces()[0], the face with the least key, walks dart 0, the
+        # least (tail, head), one way or the other, so it is the face of
+        # state 0 or of state 1 (states 2 and 3 are their mirrors)
+        rank = graph._dart_rank
+        keys = {k: _face_key(self.orbits[k], rank) for k in set(face_of[:2])}
         least = sum(1 << k for k, key in keys.items() if key == min(keys.values()))
         # the dual graph: edge i joins the faces of states 4i and 4i + 1,
         # the two orbits that walk its dart 2i
@@ -321,10 +335,12 @@ class Embedding:
             if a != b:
                 dual[b].append((i, a))
         # a BFS spanning forest of the dual graph, one tree per component:
-        # each face's root, and the edge and face above it (-1 at a root)
+        # each face's root, and the edge and face above it (-1 at a root);
+        # each component's faces and Euler genus 2 - V + E - F
         root = [-1] * nfaces
         up = [-1] * nfaces
         parent = [-1] * nfaces
+        component: list[tuple[int, int]] = [(0, 0)] * nfaces
         order: list[int] = []
         for r in range(nfaces):
             if root[r] >= 0:
@@ -336,6 +352,14 @@ class Embedding:
                     if root[g] < 0:
                         root[g], up[g], parent[g] = r, i, f
                         queue.append(g)
+            vmask = emask = faces = 0
+            for f in queue:
+                vmask |= vertex_masks[f]
+                emask |= edge_masks[f]
+                faces |= 1 << f
+            comp = (faces, 2 - vmask.bit_count() + emask.bit_count() - len(queue))
+            for f in queue:
+                component[f] = comp
             order += queue
         tree = {up[f] for f in range(nfaces)}
         # one homology bit per edge off the forest; a face's potential is
@@ -360,7 +384,11 @@ class Embedding:
                 below[i] = subtree[f]
                 potential[p] ^= potential[f]
                 subtree[p] |= subtree[f]
-        return _FaceSides(face_of, homology, below, [subtree[root[f]] for f in range(nfaces)],
+        shift = bit.bit_length()
+        word = {}
+        for i, (u, v) in enumerate(edges):
+            word[u, v] = word[v, u] = neg[i] | homology[i] << 1 | below[i] << shift
+        return _FaceSides(face_of, word, shift, (1 << shift) - 2, component,
                           vertex_masks, edge_masks, least)
 
     def euler_genus(self) -> int:
@@ -454,13 +482,6 @@ def _switching(graph: Graph, negative: Mapping[Edge, bool]) -> bool:
 def check_cycle(graph: Graph, cycle: Sequence[int]) -> tuple[int, ...]:
     """Validate a vertex sequence as a cycle of the graph; returns it as a
     tuple (without the repeated endpoint)."""
-    return cycle_edge_keys(graph, cycle)[0]
-
-
-def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
-                    ) -> tuple[tuple[int, ...], list[Edge]]:
-    """``check_cycle`` and the cycle's edge keys from the same walk: the
-    i-th key joins the i-th vertex to the next one, the last closes C."""
     cyc = tuple(cycle)
     if len(cyc) >= 2 and cyc[0] == cyc[-1]:
         cyc = cyc[:-1]
@@ -468,12 +489,11 @@ def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
         raise EmbeddingError(f"not a cycle (length {len(cyc)} < 3): {cyc}")
     if len(set(cyc)) != len(cyc):
         raise EmbeddingError(f"not a cycle (repeated vertex): {cyc}")
-    ring = list(zip(cyc, cyc[1:] + cyc[:1]))
-    keys = [(v, w) if v < w else (w, v) for v, w in ring]
-    if not graph.edge_set.issuperset(keys):
-        v, w = next(p for p, e in zip(ring, keys) if e not in graph.edge_set)
-        raise EmbeddingError(f"not a cycle (missing edge {v}-{w})")
-    return cyc, keys
+    edge_set = graph.edge_set
+    for v, w in zip(cyc, cyc[1:] + cyc[:1]):
+        if ((v, w) if v < w else (w, v)) not in edge_set:
+            raise EmbeddingError(f"not a cycle (missing edge {v}-{w})")
+    return cyc
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +514,10 @@ def cycle_edge_keys(graph: Graph, cycle: Sequence[int]
 # flipped by the sign of d's edge (``successor_pairs``).  The orbits of
 # the successor permutation pair up under the mirror map (reverse the
 # dart, flip the sense past the edge's sign), and each pair is one face.
+# The mirror of state s on edge i = s >> 2 is s ^ 3, or s ^ 2 when edge
+# i is negative.  ``Embedding.orbits`` walks one orbit of each pair and
+# marks the other, and each dart's rank in (tail, head) order
+# (``Graph._dart_rank``) orders the faces.
 
 
 def dart(graph: Graph, v: int, w: int) -> int:
@@ -506,8 +530,7 @@ def dart(graph: Graph, v: int, w: int) -> int:
 
 def dart_ends(graph: Graph, darts: Iterable[int]) -> tuple[Dart, ...]:
     """(tail, head) of each dart."""
-    ends = graph._dart_ends
-    return tuple(ends[d] for d in darts)
+    return tuple(map(graph._dart_ends.__getitem__, darts))
 
 
 def rotations(items: Sequence, fixed: bool = False) -> list[tuple]:

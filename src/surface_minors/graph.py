@@ -108,6 +108,16 @@ class Graph:
         """(tail, head) of each dart, numbered as in ``_out_darts``."""
         return tuple(d for u, v in self.edges for d in ((u, v), (v, u)))
 
+    @cached_property
+    def _dart_rank(self) -> tuple[int, ...]:
+        """Each dart's place in (tail, head) order, numbered as in
+        ``_out_darts``: darts compare as their ranks do."""
+        ends = self._dart_ends
+        rank = [0] * len(ends)
+        for r, d in enumerate(sorted(range(len(ends)), key=ends.__getitem__)):
+            rank[d] = r
+        return tuple(rank)
+
     # -- subgraphs and components ----------------------------------------
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .graph import Edge, Graph
 from .embedding import Embedding, FaceWalk
@@ -113,28 +113,38 @@ def _nested(ain: CycleAnalysis, aout: CycleAnalysis) -> bool:
     return not ain.edge_mask & ~aout.int_edge_mask
 
 
-def _face_certifies(face: FaceWalk, c_outer: tuple[int, ...], c_inner: tuple[int, ...],
-                    shared: tuple[tuple[int, ...], set[Edge]]) -> bool:
-    """The face-pinch condition: the outer cycle meets the face in one
-    path of at least three edges, and the inner cycle meets it in exactly
-    the shared piece, strictly interior to that path."""
-    comps_outer = _intersection_components(c_outer, face.vertex_set, face.edge_set)
-    if len(comps_outer) != 1:
-        return False
-    path, path_edges = comps_outer[0]
+def _outer_path(face: FaceWalk, c_outer: tuple[int, ...]) -> frozenset[int] | None:
+    """The interior vertices of the path of at least three edges in which
+    the outer cycle meets the face, or None when it meets the face
+    otherwise."""
+    comps = _intersection_components(c_outer, face.vertex_set, face.edge_set)
+    if len(comps) != 1:
+        return None
+    path, path_edges = comps[0]
     if len(path_edges) == len(path) or len(path) < 4:  # a path of at least 3 edges
-        return False
+        return None
+    return frozenset(path[1:-1])
+
+
+def _face_certifies(face: FaceWalk, interior: frozenset[int], c_inner: tuple[int, ...],
+                    shared: tuple[tuple[int, ...], set[Edge]]) -> bool:
+    """The face-pinch condition, given the ``interior`` of the outer
+    cycle's path on the face (``_outer_path``): the inner cycle meets
+    the face in exactly the shared piece, strictly interior to that
+    path."""
     comps_inner = _intersection_components(c_inner, face.vertex_set, face.edge_set)
     if len(comps_inner) != 1:
         return False
     q_verts, q_edges = comps_inner[0]
     if q_edges != shared[1] or set(q_verts) != set(shared[0]):
         return False
-    return set(q_verts) <= set(path[1:-1])
+    return interior.issuperset(q_verts)
 
 
-def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
-                      c_in: tuple[int, ...]) -> WellNestedKind | None:
+def _classify_pinches(emb: Embedding, c_out: tuple[int, ...], c_in: tuple[int, ...],
+                      in_edges: AbstractSet[Edge] | None = None,
+                      outer_paths: dict[int, frozenset[int] | None] | None = None
+                      ) -> WellNestedKind | None:
     """The well-nested category of a nested pair (``c_in`` inside
     ``c_out``): free when disjoint, pinched on one or two pieces
     otherwise; None when no category applies.
@@ -142,9 +152,16 @@ def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
     A single shared vertex pinches on that vertex; a shared path with an
     edge must be certified by a face the outer cycle crosses in a longer
     path (at least three edges) containing the shared piece strictly
-    inside.
+    inside.  A caller that classifies many pairs passes C_in's edge set
+    as ``in_edges``, and as ``outer_paths`` a dict that keeps, per face
+    position in ``faces()``, C_out's ``_outer_path`` on that face, so
+    each is found once per outer cycle.
     """
-    comps = _intersection_components(c_out, set(c_in), set(_cycle_edges(c_in)))
+    if in_edges is None:
+        in_edges = set(_cycle_edges(c_in))
+    if outer_paths is None:
+        outer_paths = {}
+    comps = _intersection_components(c_out, set(c_in), in_edges)
     if len(comps) == 0:
         return WellNestedKind.free()
     if len(comps) > 2:
@@ -158,11 +175,14 @@ def _classify_pinches(emb: Embedding, c_out: tuple[int, ...],
         if len(edges) == len(verts):  # all of c_out, not a path
             return None
         cert = None
-        for face in emb.faces():
-            if face.vertex_set.issuperset(verts) and edges <= face.edge_set \
-                    and _face_certifies(face, c_out, c_in, comp):
-                cert = face
-                break
+        for k, face in enumerate(emb.faces()):
+            if face.vertex_set.issuperset(verts) and edges <= face.edge_set:
+                if k not in outer_paths:
+                    outer_paths[k] = _outer_path(face, c_out)
+                interior = outer_paths[k]
+                if interior is not None and _face_certifies(face, interior, c_in, comp):
+                    cert = face
+                    break
         if cert is None:
             return None
         pieces.append(cert)
@@ -200,9 +220,12 @@ def longest_well_nested_chain(graph: Graph, emb: Embedding,
     # (inner, outer) -> kind, and (discipline, inner) -> outers in increasing order
     nested_in: dict[tuple[int, int], WellNestedKind] = {}
     succ: dict[tuple[tuple, int], list[int]] = {}
+    # per outer cycle, its _outer_path on each face looked at so far
+    outer_paths: list[dict[int, frozenset[int] | None]] = [{} for _ in range(n)]
     for i, j in itertools.permutations(range(n), 2):
         if _nested(analyses[i][1], analyses[j][1]):
-            kind = _classify_pinches(emb, contractible[j], contractible[i])
+            kind = _classify_pinches(emb, contractible[j], contractible[i],
+                                     analyses[i][1].edges, outer_paths[j])
             if kind is not None:
                 nested_in[(i, j)] = kind
                 succ.setdefault((kind.key, i), []).append(j)

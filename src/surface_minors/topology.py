@@ -7,18 +7,23 @@ Classification reads a face-side table that each ``Embedding`` builds
 once (``Embedding._face_sides``): each traversal state's face, a BFS
 spanning forest of the dual graph, per edge a homology mask (a bit per
 dual edge off the forest whose fundamental dual cycle uses the edge)
-and, on the forest, the faces below it, and per face its vertices and
-edges, all as bit masks.  A two-sided cycle C separates exactly when it
-is zero in Z2 homology, that is when its edges form a cut of the dual
-graph, which holds exactly when the XOR of their homology masks is 0
-(Eppstein, "Dynamic generators of topologically embedded graphs", SODA
-2003; Mohar-Thomassen, *Graphs on Surfaces*, ch. 4).  The XOR of their
-below masks is then one side's faces, and Euler's formula on the side's
-faces, vertices and edges gives its genus.  So a cycle is classified
-with |C| XORs and popcounts, and no search of the graph.  The end
-sides, read from the rotations in one walk along C, the normalized
-embedding and the cut graph are built only when a caller asks for
-them (``end_side``, ``normalized``, ``cut``).
+and, on the forest, the faces below it, per face its vertices and
+edges, all as bit masks, and per dual component its Euler genus.  Each
+edge's sign and two masks are packed into one word, looked up by either
+end pair, so a cycle's edges are checked and summed with one XOR each.
+A two-sided cycle C separates exactly when it is zero in Z2 homology,
+that is when its edges form a cut of the dual graph, which holds
+exactly when the XOR of their homology masks is 0 (Eppstein, "Dynamic
+generators of topologically embedded graphs", SODA 2003;
+Mohar-Thomassen, *Graphs on Surfaces*, ch. 4).  The XOR of their below
+masks is then one side's faces, and Euler's formula on the faces,
+vertices and edges of the side with fewer faces gives its genus; the
+other side's genus is the component's less that one, since genus adds
+up over the two sides.  So a cycle is classified with |C| XORs and
+popcounts, and no search of the graph.  The end sides, read from the
+rotations in one walk along C, the normalized embedding and the cut
+graph are built only when a caller asks for them (``end_side``,
+``normalized``, ``cut``).
 
 Homotopy takes one cut.  The second cycle C2 is lifted into the cut
 along the first, C1, and classified there.  Each side of the lifted C2
@@ -34,8 +39,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterator, Sequence
 
 from .graph import Edge, Graph, edge_key
-from .embedding import (Embedding, FaceWalk, _FaceSides, check_cycle, cycle_edge_keys,
-                        dart)
+from .embedding import Embedding, FaceWalk, _FaceSides, check_cycle, dart
 
 
 class TopologyError(ValueError):
@@ -141,7 +145,6 @@ class CycleAnalysis:
     embedding: Embedding            # original
     cycle: tuple[int, ...]
     classification: CycleClassification
-    edges: frozenset[Edge]          # C's edges
     left_genus: int | None = None
     right_genus: int | None = None
     # the faces on each side of a two-sided C, as bit masks over the
@@ -152,6 +155,11 @@ class CycleAnalysis:
 
     def __hash__(self):  # pragma: no cover
         return id(self)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """C's edges."""
+        return frozenset(_cycle_edges(self.cycle))
 
     @cached_property
     def flips(self) -> frozenset[int]:
@@ -273,59 +281,73 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
                    outer_face: FaceWalk | None = None) -> CycleAnalysis:
     """Classify a cycle: sidedness, separating, contractible, disk side.
 
-    C is one-sided when its signature product is negative.  A two-sided
-    C separates exactly when it is zero in Z2 homology, that is when its
-    edges form a cut of the dual graph, and this is read off the
-    embedding's face-side table (``Embedding._face_sides``) in one pass
-    over C's edges: the XOR of their homology masks is 0 exactly then.
-    The XOR of their below masks is then one side of the cut within C's
-    dual component, and the component's other faces are the other side.
-    The left side is the one holding the face that walks C's closing
-    edge into its first vertex and turns away from the closing edge in
-    the rotation read forward (the state ``2 * dart + (sig < 0)``).  A
-    side with face set F_s, bounded by |F_s| faces, |V_s| vertices and
-    |E_s| edges, C's included, has Euler genus
+    One pass over C's consecutive vertex pairs XORs the packed word of
+    each edge (``_FaceSides``: ``negative | homology << 1 | below <<
+    shift``), read from the embedding's face-side table
+    (``Embedding._face_sides``); a cycle too short, with a repeated
+    vertex or with a pair that is not an edge raises ``check_cycle``'s
+    named error.  C is one-sided when the XOR's sign bit, the parity of
+    its negative edges, is set.  A two-sided C separates exactly when it
+    is zero in Z2 homology, that is when its edges form a cut of the
+    dual graph: exactly when the XOR's homology bits are 0.  Its below
+    bits are then one side of the cut within C's dual component, and
+    the component's other faces are the other side.  The left side is
+    the one holding the face that walks C's closing edge into its first
+    vertex and turns away from the closing edge in the rotation read
+    forward (the state ``2 * dart + (sig < 0)``).  A side with face set
+    F_s, bounded by |F_s| faces, |V_s| vertices and |E_s| edges, C's
+    included, has Euler genus
 
         1 - |V_s| + |E_s| - |F_s|,
 
     the Euler characteristic of the piece that cutting along C and
     capping it with a disk gives: C's l vertices and edges cancel, and
     the cap is the 1.  A side made only of one face bounded by C is a
-    disk (1 - l + l - 1 = 0).  C is contractible when it separates and
-    one side has genus 0.  For a contractible cycle in a genus-0
-    embedding both sides bound disks; the side containing the
-    designated outer face (default: the lexicographically smallest
-    facial walk) is taken as Ext.
+    disk (1 - l + l - 1 = 0).  This is counted for the side with fewer
+    faces only: the two sides' genera add up to the component's Euler
+    genus 2 - V + E - F, since C's vertices and edges count on both
+    sides, so the other side's genus is the difference.  C is
+    contractible when it separates and one side has genus 0.  For a
+    contractible cycle in a genus-0 embedding both sides bound disks;
+    the side containing the designated outer face (default: the
+    lexicographically smallest facial walk) is taken as Ext.
 
     No search runs and no embedding is built: the table is built once
-    per embedding, and the analysis' end sides, ``normalized``
-    embedding and ``cut`` are made on first use.
+    per embedding, and the analysis' edge set, end sides,
+    ``normalized`` embedding and ``cut`` are made on first use.
     """
-    if emb.graph != graph:
+    if emb.graph is not graph and emb.graph != graph:
         raise TopologyError("classify_cycle: embedding is for a different graph")
-    cyc, keys = cycle_edge_keys(graph, cycle)
-    edges = frozenset(keys)
-    sig = emb.sig
+    given = tuple(cycle)
+    cyc = given[:-1] if len(given) >= 2 and given[0] == given[-1] else given
+    if len(cyc) < 3 or len(set(cyc)) < len(cyc):
+        check_cycle(graph, given)  # raises the named error
     table = emb._face_sides
-    index = graph._edge_index
-    negative = homology = below = 0
-    for e in keys:
-        i = index[e]
-        negative ^= sig[e] < 0
-        homology ^= table.homology[i]
-        below ^= table.below[i]
-    if negative:
+    word = table.word
+    x = 0
+    for pair in zip(cyc, cyc[1:] + cyc[:1]):
+        w = word.get(pair)
+        if w is None:
+            check_cycle(graph, given)  # raises the missing-edge error
+        x ^= w
+    if x & 1:
         cls = CycleClassification("one-sided", False, False, "none")
-        return CycleAnalysis(graph, emb, cyc, cls, edges)
-    left_face = table.face_of[2 * dart(graph, cyc[-1], cyc[0]) + (sig[keys[-1]] < 0)]
-    component = table.component[left_face]
-    if homology:
+        return CycleAnalysis(graph, emb, cyc, cls)
+    closing_negative = word[cyc[-1], cyc[0]] & 1
+    left_face = table.face_of[2 * dart(graph, cyc[-1], cyc[0]) + closing_negative]
+    component, genus = table.component[left_face]
+    if x & table.homology_bits:
         cls = CycleClassification("two-sided", False, False, "none")
-        return CycleAnalysis(graph, emb, cyc, cls, edges,
-                             left_faces=component, right_faces=component)
+        return CycleAnalysis(graph, emb, cyc, cls, left_faces=component, right_faces=component)
+    below = x >> table.shift
     left = below if below >> left_face & 1 else component ^ below
     right = component ^ left
-    left_genus, right_genus = _genus(table, left), _genus(table, right)
+    if left.bit_count() <= right.bit_count():
+        left_genus = _genus(table, left)
+        right_genus = genus - left_genus
+    else:
+        right_genus = _genus(table, right)
+        left_genus = genus - right_genus
     disk_side = "none"
     if left_genus == 0 and right_genus == 0:
         # sphere: Ext is the side holding the outer face
@@ -337,7 +359,7 @@ def classify_cycle(graph: Graph, emb: Embedding, cycle: Sequence[int],
     elif left_genus == 0 or right_genus == 0:
         disk_side = "left" if left_genus == 0 else "right"
     cls = CycleClassification("two-sided", True, disk_side != "none", disk_side)
-    return CycleAnalysis(graph, emb, cyc, cls, edges, left_genus, right_genus, left, right)
+    return CycleAnalysis(graph, emb, cyc, cls, left_genus, right_genus, left, right)
 
 
 def _cut(norm: Embedding, cycle: tuple[int, ...],

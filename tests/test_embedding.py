@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surface_minors import embedding
 from surface_minors.graph import Graph, GraphError, edge_key
 from surface_minors.embedding import (Embedding, EmbeddingError, FaceWalk, dart, dart_ends,
                                       default_embedding, random_embedding)
@@ -19,6 +21,14 @@ def random_connected(rng, max_n=7, extra=6):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return Graph.build(range(n), edges)
+
+
+def random_graph(rng, max_n=8):
+    """A random graph, connected or not, often with isolated vertices."""
+    n = rng.randrange(1, max_n + 1)
+    p = rng.choice((0.2, 0.4, 0.7))
+    return Graph.build(range(n), [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p])
 
 
 def test_c3_two_faces_of_size_three():
@@ -155,13 +165,74 @@ def test_inequivalent_embeddings_of_k4():
 
 
 def test_face_sizes_sum_matches_naive_oracle():
+    # connected graphs, graphs of several components, and edgeless graphs
     rng = random.Random(1)
-    for _ in range(150):
-        g = random_connected(rng)
+    fixed = [Graph.build([0], []), Graph.build(range(4), []),
+             Graph.build(range(7), [(1, 2), (2, 3), (1, 3), (3, 4)])]
+    for g in itertools.chain((random_connected(rng) for _ in range(150)),
+                             (random_graph(rng) for _ in range(200)), fixed):
         emb = random_embedding(g, rng)
         faces = emb.faces()
         assert sum(f.size for f in faces) == 2 * g.m
-        assert len(faces) == naive_face_count(g, emb.rot, emb.sig)
+        assert len(faces) == emb.face_count() == naive_face_count(g, emb.rot, emb.sig)
+
+
+def test_faces_are_the_walks_sorted_by_key():
+    # faces() is ordered by integer keys read from dart ranks; it must be
+    # the order of FaceWalk.key, and the table's least faces must be the
+    # faces with the key of faces()[0]
+    rng = random.Random(17)
+    kinds = collections.Counter()
+    for _ in range(400):
+        g = random_connected(rng) if rng.random() < 0.5 else random_graph(rng)
+        if g.m == 0:
+            continue
+        emb = random_embedding(g, rng)
+        if rng.random() < 0.3:
+            emb = Embedding.build(g, emb.rot)  # orientable
+        faces = emb.faces()
+        assert list(faces) == sorted(emb._orbit_walks, key=lambda f: f.key)
+        # each integer key names the darts of FaceWalk.key by their ranks
+        by_rank = sorted(range(2 * g.m), key=g._dart_rank.__getitem__)
+        for orb, walk in zip(emb.orbits, emb._orbit_walks, strict=True):
+            key = embedding._face_key(orb, g._dart_rank)
+            assert dart_ends(g, [by_rank[r] for r in key]) == walk.key
+        least = sum(1 << k for k, f in enumerate(emb._orbit_walks) if f.key == faces[0].key)
+        assert emb._face_sides.least == least
+        kinds[g.is_connected(), emb.is_orientable(), least.bit_count()] += 1
+    assert {k[:2] for k in kinds} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {k[2] for k in kinds} == {1, 2}
+
+
+def test_a_corrupted_successor_pair_breaks_the_traversal_check(monkeypatch):
+    # every single pair of the successor rule, pointed at the successor
+    # of another state at the same vertex, must fail the orbit walk; so
+    # must every swap of two successors, which leaves a permutation
+    rng = random.Random(23)
+    real = embedding.successor_pairs
+    cases = 0
+    for g in (complete(4), complete(5), petersen()):
+        for emb in (random_embedding(g, rng), default_embedding(g)):
+            for at in range(g.n):
+                for p, swap in itertools.product(range(2 * g.degree(g.vertices[at])), (False, True)):
+                    calls = []
+
+                    def corrupt(rot, neg, calls=calls, at=at, p=p, swap=swap):
+                        pairs = real(rot, neg)
+                        if len(calls) == at:
+                            (a, x), (b, y) = pairs[p - 1], pairs[p]
+                            pairs[p] = (b, x)
+                            if swap:
+                                pairs[p - 1] = (a, y)
+                        calls.append(rot)
+                        return pairs
+
+                    monkeypatch.setattr(embedding, "successor_pairs", corrupt)
+                    with pytest.raises(EmbeddingError, match="traversal invariant broken"):
+                        Embedding.build(g, emb.rot, emb.sig).face_count()
+                    cases += 1
+    monkeypatch.undo()
+    assert cases == 2 * (12 + 20 + 30) * 2 * 2
 
 
 def test_faces_and_the_face_side_table_share_one_set_of_walks():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -65,6 +66,29 @@ def test_classify_pinches_on_hand_checked_pairs():
         for inner, outer_cycle, want in pairs:
             assert is_nested(graph, embedding, inner, outer_cycle)
             assert _pieces(_classify_pinches(embedding, outer_cycle, inner)) == want, inner
+
+
+def test_chain_classifies_each_pair_as_a_lone_classification(monkeypatch):
+    # the chain hands _classify_pinches the inner cycle's edge set and a
+    # per-outer-cycle store of its paths on faces; each pair must get the
+    # kind that a call with neither gives
+    g = grid(3, 4)
+    emb = planar_embedding(g)
+    seen = []
+
+    def recording(emb, c_out, c_in, *stores):
+        kind = _classify_pinches(emb, c_out, c_in, *stores)
+        seen.append((c_out, c_in, kind))
+        return kind
+
+    monkeypatch.setattr(structure, "_classify_pinches", recording)
+    longest_well_nested_chain(g, emb)
+    monkeypatch.undo()
+    for c_out, c_in, kind in seen:
+        assert kind == _classify_pinches(emb, c_out, c_in), (c_out, c_in)
+    tags = collections.Counter(kind and kind.tag for *_, kind in seen)
+    faces = sum(not isinstance(p, int) for *_, kind in seen if kind for p in kind.pieces)
+    assert faces >= 50 and set(tags) == {None, "pinched-one", "pinched-two"}, (faces, tags)
 
 
 def torus_with_nested_triangle() -> tuple[Graph, Embedding]:

@@ -270,6 +270,7 @@ def test_classify_cycle_matches_union_find_oracle():
     cases += [(cut.graph, cut.embedding, c, None) for c in enumerate_cycles(cut.graph)[0]]
 
     kinds = set()
+    component_genus = {}
     for g, emb, cyc, outer in cases:
         got = classify_cycle(g, emb, cyc, outer_face=outer)
         want = union_find_classify(g, emb, cyc, outer_face=outer)
@@ -279,6 +280,12 @@ def test_classify_cycle_matches_union_find_oracle():
              want.left_genus, want.right_genus), cyc
         assert got.edge_mask == sum(1 << g._edge_index[e] for e in want.edges)
         c = got.classification
+        if c.separating:
+            # one side is counted, the other read off the component's genus
+            key = id(emb), cyc[0]
+            if key not in component_genus:
+                component_genus[key] = _component_genus(emb, cyc[0])
+            assert got.left_genus + got.right_genus == component_genus[key], cyc
         assert (got.left_faces is None) == (want.roots is None)
         if want.roots is not None:
             for side in ("left", "right"):
@@ -298,6 +305,15 @@ def test_classify_cycle_matches_union_find_oracle():
                      "chord", "untouched component"}
 
 
+def _component_genus(emb: Embedding, v: int) -> int:
+    """2 - V + E - F for the component of the graph that holds v."""
+    g = emb.graph
+    comp = next(c for c in g.components() if v in c)
+    edges = [e for e in g.edges if e[0] in comp]
+    faces = [f for f in emb.faces() if f.vertex_set <= comp]
+    return 2 - len(comp) + len(edges) - len(faces)
+
+
 def test_classifying_every_cycle_traces_the_faces_at_most_once(monkeypatch):
     # classification reads the faces through the embedding's face-side
     # table, which traces them once
@@ -311,19 +327,33 @@ def test_classifying_every_cycle_traces_the_faces_at_most_once(monkeypatch):
 
 
 def test_classify_cycle_errors_match_union_find_oracle():
-    k4 = complete(4)
-    bad = [(complete(5), K4_PLANAR, [0, 1, 2]),     # embedding of another graph
-           (k4, K4_PLANAR, [0, 1, 5]),              # missing edge
-           (k4, K4_PLANAR, [0, 1, 2, 1]),           # repeated vertex
-           (k4, K4_PLANAR, [0, 1]),                 # shorter than 3
-           (k4, K4_PLANAR, [0, 1, 0])]              # closed, shorter than 3
-    for g, emb, cyc in bad:
+    # the named errors of check_cycle, checked in its order: length, then
+    # a repeated vertex, then a missing edge, the closing one included
+    k4, prism = complete(4), Embedding.build(PRISM)
+    bad = [(complete(5), K4_PLANAR, [0, 1, 2],
+            "classify_cycle: embedding is for a different graph"),
+           (k4, K4_PLANAR, [0, 1, 5], "not a cycle (missing edge 1-5)"),
+           (k4, K4_PLANAR, [0, 1, 2, 1], "not a cycle (repeated vertex): (0, 1, 2, 1)"),
+           (k4, K4_PLANAR, [0, 1], "not a cycle (length 2 < 3): (0, 1)"),
+           (k4, K4_PLANAR, [0, 1, 0], "not a cycle (length 2 < 3): (0, 1)"),
+           (PRISM, prism, [], "not a cycle (length 0 < 3): ()"),
+           (PRISM, prism, [0, 0], "not a cycle (length 1 < 3): (0,)"),
+           (PRISM, prism, [0, 5, 0, 2], "not a cycle (repeated vertex): (0, 5, 0, 2)"),
+           (PRISM, prism, [0, 1, 2, 0, 0], "not a cycle (repeated vertex): (0, 1, 2, 0)"),
+           (PRISM, prism, [0, 4, 3], "not a cycle (missing edge 0-4)"),
+           (PRISM, prism, [0, 1, 2, 5], "not a cycle (missing edge 5-0)")]
+    for g, emb, cyc, message in bad:
         errors = []
         for classify in (classify_cycle, union_find_classify):
             with pytest.raises(ValueError) as info:
                 classify(g, emb, cyc)
             errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1], cyc
+        assert errors[0] == errors[1] and errors[0][1] == message, cyc
+    # a closing vertex that repeats the first is accepted and dropped
+    for cyc in ([0, 1, 2], [0, 1, 4, 3], [0, 3, 5, 2]):
+        closed, want = classify_cycle(PRISM, prism, cyc + cyc[:1]), classify_cycle(PRISM, prism, cyc)
+        assert (closed.cycle, closed.classification, closed.left_genus, closed.right_genus) == \
+            (tuple(cyc), want.classification, want.left_genus, want.right_genus)
 
 
 def test_intersection_components_match_graph_components():
