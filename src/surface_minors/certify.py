@@ -19,7 +19,7 @@ from .embedding import Embedding
 from .genus_search import Surface, combined_minima, default_budget, embeddable_in
 
 
-PRUNING_VERSION = "walk-face-bound-floor-parity-warm-signs-v5"
+PRUNING_VERSION = "distance-face-bound-floor-parity-warm-signs-v6"
 
 
 class CertificationError(ValueError):
@@ -36,7 +36,7 @@ class MinorWitness:
     def verify(self, surface: Surface) -> bool:
         """The embeddings cover the minor's components, and their union,
         placed on the connected sum of their surfaces, fits the surface."""
-        comps = sorted(self.graph.components(), key=min)
+        comps = self.graph.components
         if len(comps) != len(self.embeddings):
             return False
         if any(emb.graph != self.graph.subgraph(comp)

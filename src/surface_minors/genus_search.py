@@ -24,17 +24,31 @@ two walks.  Walk ends and lengths live in flat arrays and are undone in
 reverse on backtrack, so a child costs O(d) rather than a re-trace of
 all 4m states.
 
-A partial assignment is pruned by a genus lower bound.  Let min_face be
-a lower bound on the length of every face: 3 in a simple graph with at
+A partial assignment is pruned by a genus lower bound, as in the
+bound-driven search of Beyer, Chimani, Hedtke and Kotrbcik ("A practical
+method for the minimum genus of a graph", SEA 2016).  Let min_face be a
+lower bound on the length of every face: 3 in a simple graph with at
 least two edges, and the girth when every vertex has degree at least 2
 (a facial walk turns straight back only at a degree-1 vertex, so
-otherwise every face contains a cycle).  Every orbit still to close is
-a union of current open walks holding at least min_face states, so
-there are at most (sum over open walks of min(length, min_face)) //
-min_face of them; with the orbits already closed this overestimates
-twice the final face count.  Orientable Euler genus is even, so on the
-orientable side a child survives only if its bound is at least 2 below
-the incumbent, on the nonorientable side at least 1.
+otherwise every face contains a cycle).  Consecutive states of an orbit
+follow darts head to tail, so an open walk w of l(w) states, whose last
+dart ends at h and whose first dart starts at t, closes only after at
+least dist(h, t) more states: the orbit that will hold w has at least
+L(w) = max(min_face, l(w) + dist(h, t)) states.  Each orbit O still to
+close is the union of the open walks it holds, and L(w) <= |O| for each
+of them, so they contribute sum l(w) / L(w) >= sum l(w) / |O| = 1.
+Hence at most sum over open walks of l(w) / L(w) orbits are still to
+close.  The search keeps that sum as the integer ``walk_sum`` of the
+terms ceil(l(w) * K / L(w)) with K = 720,720 = lcm(1, ..., 16), exact
+whenever L(w) <= 16 and rounded up otherwise, so orbits + walk_sum // K
+overestimates the final number of orbits, twice the face count.  The
+distances come from one BFS per vertex, run once per graph when a side
+is first searched.  Since L(w) >= max(min_face, l(w)), each share
+l(w) / L(w) is at most min(l(w), min_face) / min_face, the share that
+bounding by min_face alone would give w.
+Orientable Euler genus is even, so on the orientable side a child
+survives only if its bound is at least 2 below the incumbent, on the
+nonorientable side at least 1.
 
 Each side holds a witness from the start, and its genus is the
 incumbent that the bound prunes against.  The orientable side starts
@@ -52,8 +66,9 @@ the warm start meets it.  The budget counts child evaluations, the unit
 of work.
 
 Tests check the pruning against an unpruned oracle on every connected
-graph with at most eight edges, and that oracle's cotree signs against
-all 2^m signatures (``test_tree_positive_signatures_lose_no_minimum``).
+graph with at most eight edges, that oracle's cotree signs against all
+2^m signatures (``test_tree_positive_signatures_lose_no_minimum``), and
+the distance bound against bounding by min_face alone on random graphs.
 """
 
 from __future__ import annotations
@@ -61,6 +76,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .graph import Edge, Graph, GraphError, blocks
 from .embedding import Embedding, dart, dart_ends, rotations, successor_pairs
@@ -169,7 +186,7 @@ class GenusProfile:
 
 
 class _SearchSpace:
-    """BFS vertex order, rotation lists, cotree and face-length bound
+    """BFS vertex order, rotation lists, cotree and face-length bounds
     for one graph, shared by both sides of the search.  Rotations are
     tuples of out-darts, states are numbered as in the dart kernel of
     ``embedding``, and cotree edges by their index in ``graph.edges``."""
@@ -200,6 +217,11 @@ class _SearchSpace:
         else:
             self.min_face = 3
 
+    @cached_property
+    def walk_bounds(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+        """``_walk_bounds`` at ``min_face``, built when a search first runs."""
+        return _walk_bounds(self.graph, self.min_face)
+
     def choices(self, v: int, neg: list[bool]) -> tuple[tuple[tuple[int, ...], list], ...]:
         """Each rotation at v with the (state, successor) pairs it fixes
         under the edge signs ``neg``."""
@@ -215,6 +237,41 @@ class _SearchSpace:
         return hit
 
 
+# lcm(1, ..., 16): a walk's weight is exact when its orbit bound is at most 16
+_SCALE = 720_720
+
+
+def _walk_bounds(graph: Graph, min_face: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(gap, weight) for the distance face bound of a connected graph.
+
+    ``gap[e][a]`` is the distance from the head of state e's dart to the
+    tail of state a's dart: an open walk from state a to state e needs at
+    least that many more states to close.  ``weight[d][l]`` is
+    ceil(l * _SCALE / max(min_face, l + d)), the scaled share of its
+    orbit that a walk of l states with gap d holds at least.  No orbit
+    has more than 2m states, so no walk has.  One BFS per vertex.
+    """
+    ends = dart_ends(graph, range(2 * graph.m))
+    tails = itemgetter(*[ends[s >> 1][0] for s in range(4 * graph.m)])
+    rows, far = {}, 0
+    for root in graph.vertices:
+        dist = {root: 0}
+        queue = [root]
+        for u in queue:
+            step = dist[u] + 1
+            for w in graph.neighbors(u):
+                if w not in dist:
+                    dist[w] = step
+                    queue.append(w)
+        far = max(far, step - 1)
+        rows[root] = tails(dist)
+    gap = [rows[ends[s >> 1][1]] for s in range(4 * graph.m)]
+    lengths = range(2 * graph.m + 1)
+    weight = [[-(-length * _SCALE // (length + d if length + d > min_face else min_face))
+               for length in lengths] for d in range(far + 1)]
+    return gap, weight
+
+
 class _FaceTracker:
     """Facial orbits of a partial successor permutation, kept up to date
     link by link.
@@ -225,49 +282,54 @@ class _FaceTracker:
     ``end_of[s]`` and ``length[s]`` are the last state and the number of
     states of the open walk starting at s.  Only entries at walk ends are
     kept current; the stale ones are exactly what undo needs.
-    ``walk_sum`` is the sum over open walks of min(length, min_face).
+    ``walk_sum`` is the sum over open walks w, from state a to state e,
+    of ``weight[gap[e][a]][length(w)]`` (``_walk_bounds``): at least
+    _SCALE times the share of its orbit that w holds.
     ``saved`` holds ``(orbits, walk_sum)`` from before each ``link`` not yet undone.
     """
 
-    __slots__ = ("start_of", "end_of", "length", "min_face", "orbits", "walk_sum", "saved")
+    __slots__ = ("start_of", "end_of", "length", "gap", "weight", "orbits", "walk_sum",
+                 "saved")
 
-    def __init__(self, nstates: int, min_face: int):
+    def __init__(self, gap: list[tuple[int, ...]], weight: list[list[int]]):
+        nstates = len(gap)
         self.start_of = list(range(nstates))
         self.end_of = list(range(nstates))
         self.length = [1] * nstates
-        self.min_face = min_face
+        self.gap, self.weight = gap, weight
         self.orbits = 0  # closed orbits
-        self.walk_sum = nstates  # every state starts as a walk of length 1
+        # every state starts as a walk of length 1
+        self.walk_sum = sum(weight[gap[s][s]][1] for s in range(nstates))
         self.saved: list[tuple[int, int]] = []
 
-    def link(self, pairs: tuple[tuple[int, int], ...]) -> None:
+    def link(self, pairs: tuple[tuple[int, int], ...]) -> int:
         """Fix succ(s) = t for each pair; s must end an open walk and t
-        start one.  A link within one walk closes it into an orbit."""
-        start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
+        start one.  A link within one walk closes it into an orbit.
+        Returns ``orbits + walk_sum // _SCALE``, at least the number of
+        orbits of any completion."""
+        start_of, end_of, length, gap, weight = (self.start_of, self.end_of, self.length,
+                                                 self.gap, self.weight)
         self.saved.append((self.orbits, self.walk_sum))
         closed = delta = 0
         for s, t in pairs:
             a = start_of[s]
             lt = length[t]
             if a == t:
+                # s ends the walk that t starts, and its head is t's tail
                 closed += 1
-                delta -= lt if lt < cap else cap
+                delta -= weight[0][lt]
             else:
                 b = end_of[t]
                 end_of[a] = b
                 start_of[b] = a
                 la = length[a]
                 length[a] = la + lt
-                # the joined walk counts min(la + lt, cap), the two parts
-                # min(la, cap) + min(lt, cap)
-                if la >= cap:
-                    delta -= lt if lt < cap else cap
-                elif lt >= cap:
-                    delta -= la
-                elif la + lt > cap:
-                    delta += cap - la - lt
+                # the joined walk a..b replaces a..s and t..b
+                delta += (weight[gap[b][a]][la + lt] - weight[gap[s][a]][la]
+                          - weight[gap[b][t]][lt])
         self.orbits += closed
         self.walk_sum += delta
+        return self.orbits + self.walk_sum // _SCALE
 
     def unlink(self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Undo the matching ``link`` call; calls must nest."""
@@ -297,18 +359,18 @@ def _search(space: _SearchSpace, orientable: bool, best_start: int, floor: int,
     vertex links the successor of every state entering it, so each child
     costs O(deg v), not a re-trace of all 4m states.
     """
-    graph, order, min_face = space.graph, space.vertex_order, space.min_face
+    graph, order = space.graph, space.vertex_order
     signs, signings, options = space.signs, space.signings, space.options
     n = len(order)
     base = 2 - n + graph.m  # Euler genus = base - faces
     last = max((i for i, ks in enumerate(signs) if ks), default=-1)  # the last signing vertex
     step = 2 if orientable else 1  # every orientable leaf has even Euler genus
-    faces = _FaceTracker(4 * graph.m, min_face)
+    faces = _FaceTracker(*space.walk_bounds)
     link, unlink = faces.link, faces.unlink
     neg = [False] * graph.m
     best, witness = best_start, (None, None)
-    # a child survives when its bound base - (orbits + walk_sum // min_face) // 2
-    # is at most best - step, that is when orbits + walk_sum // min_face >= need
+    # a child survives when its bound base - link(pairs) // 2 is at most
+    # best - step, that is when link(pairs) >= need
     need = 2 * (base - best + step)
     chosen: list[tuple[int, ...]] = [()] * n
 
@@ -340,11 +402,9 @@ def _search(space: _SearchSpace, orientable: bool, best_start: int, floor: int,
                 counter[0] += 1
                 if counter[0] > budget:
                     raise BudgetExceeded("rotation search budget exhausted", counter[0])
-                link(pairs)
-                # each face is two orbits, one per sense; every future orbit
-                # joins open walks holding at least min_face states, so there
-                # are at most walk_sum // min_face of them
-                if faces.orbits + faces.walk_sum // min_face >= need:
+                # each face is two orbits, one per sense; link bounds the
+                # orbits of every completion
+                if link(pairs) >= need:
                     chosen[idx] = rot
                     rec(idx + 1, below)
                 unlink(pairs)
@@ -556,7 +616,7 @@ class EmbedDecision:
 
 def _component_profiles(graph: Graph, budget: int | None) -> list[GenusProfile]:
     return [cached_profile(graph.subgraph(comp), budget)
-            for comp in sorted(graph.components(), key=min)]
+            for comp in graph.components]
 
 
 def combined_minima(graph: Graph, budget: int | None = None) -> tuple[int, int | None]:

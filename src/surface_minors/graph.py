@@ -138,7 +138,10 @@ class Graph:
         vs = {v for e in es for v in e} | set(extra_vertices)
         return Graph(tuple(sorted(vs)), tuple(es))
 
-    def components(self) -> list[frozenset[int]]:
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Vertex sets of the connected components, in order of their
+        least vertex; computed once per graph."""
         seen: set[int] = set()
         out = []
         for root in self.vertices:
@@ -154,10 +157,10 @@ class Graph:
                         stack.append(w)
             seen |= comp
             out.append(frozenset(comp))
-        return out
+        return tuple(out)
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self.components) <= 1
 
     @cached_property
     def bfs(self) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -325,9 +328,11 @@ def graph_to_json(graph: Graph) -> str:
     Vertices are relabeled to 0..n-1; original ids are kept under
     ``vertex_ids`` when they are not already 0..n-1.
     """
-    g = graph.relabeled()
-    obj: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
-    if graph.vertices != tuple(range(graph.n)):
+    obj: dict = {"n": graph.n}
+    if graph.vertices == tuple(range(graph.n)):
+        obj["edges"] = [list(e) for e in graph.edges]
+    else:
+        obj["edges"] = [list(e) for e in graph.relabeled().edges]
         obj["vertex_ids"] = list(graph.vertices)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

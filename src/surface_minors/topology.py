@@ -93,7 +93,7 @@ class CutResult:
 
     def pieces(self) -> list[CutPiece]:
         out = []
-        for comp in self.graph.components():
+        for comp in self.graph.components:
             sub = self.graph.subgraph(comp)
             emb = induced_embedding(self.embedding, sub)
             out.append(CutPiece(sub, emb, {v: self.origin[v] for v in comp}))

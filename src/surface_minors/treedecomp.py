@@ -145,9 +145,8 @@ def _decomposition_from_order(graph: Graph, order: list[int]) -> TreeDecompositi
         bags[0] = ()
     # connect any forest pieces (disconnected graphs) arbitrarily in order
     tree = Graph.build(bags.keys(), edges)
-    comps = tree.components()
     extra = []
-    roots = sorted(min(c) for c in comps)
+    roots = [min(c) for c in tree.components]
     for a, b in zip(roots, roots[1:]):
         extra.append((a, b))
     tree = Graph.build(bags.keys(), list(tree.edges) + extra)

@@ -48,7 +48,8 @@ def planar_embedding(g: Graph) -> Embedding:
     """Some planar rotation system (the graph must be planar)."""
     import networkx as nx
     ok, pe = nx.check_planarity(g.to_nx())
-    assert ok, "graph is not planar"
+    if not ok:
+        raise ValueError("planar_embedding: graph is not planar")
     return Embedding.build(g, rotation={v: list(pe.neighbors_cw_order(v))
                                         for v in g.vertices})
 

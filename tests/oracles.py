@@ -3,7 +3,8 @@
 Everything here recomputes results through a different route than the
 package: the face counter follows the traversal rule with plain dicts,
 the genus oracle enumerates the full rotation-by-signature product with
-no pruning and no symmetry reduction, treewidth is minimized over all
+no pruning and no symmetry reduction, the search's earlier walk rule
+bounds open faces by min_face alone, treewidth is minimized over all
 elimination orderings or by the recurrence over all vertex subsets, a
 balanced 1-separation rebuilds tree - t0 and its components for each
 candidate node, isomorphism classes are settled pair by pair with
@@ -75,7 +76,8 @@ def naive_face_count(graph: Graph, rotation: dict[int, tuple[int, ...]],
     if graph.m == 0:
         return 1
     orbits = len(naive_orbit_lengths(graph, rotation, signature))
-    assert orbits % 2 == 0
+    if orbits % 2:
+        raise ValueError(f"odd number of facial orbits ({orbits}): faces come in mirror pairs")
     return orbits // 2
 
 
@@ -153,7 +155,8 @@ def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
     """(orientable minimum, nonorientable minimum) by full enumeration of
     every rotation system against every cotree signature pattern, with no
     pruning or symmetry reduction."""
-    assert graph.is_connected()
+    if not graph.is_connected():
+        raise ValueError("unpruned_min_genus: graph must be connected")
     orient = None
     nonor = None
     for rotation, signature, orientable in all_rotation_signatures(graph):
@@ -165,6 +168,53 @@ def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
     return orient, nonor
 
 
+class MinFaceWalks:
+    """The walk rule that the genus search pruned with before the
+    distance face bound, kept to compare the two: every orbit still to
+    close holds at least ``min_face`` states, so there are at most
+    (sum over open walks of min(length, min_face)) // min_face of them.
+    The same interface as ``genus_search._FaceTracker``, built from
+    (number of states, min_face) in place of its (gap, weight) tables.
+    """
+
+    def __init__(self, nstates: int, min_face: int):
+        self.start_of = list(range(nstates))
+        self.end_of = list(range(nstates))
+        self.length = [1] * nstates
+        self.min_face = min_face
+        self.orbits = 0
+        self.walk_sum = nstates
+        self.saved: list[tuple[int, int]] = []
+
+    def link(self, pairs) -> int:
+        start_of, end_of, length, cap = self.start_of, self.end_of, self.length, self.min_face
+        self.saved.append((self.orbits, self.walk_sum))
+        for s, t in pairs:
+            a = start_of[s]
+            lt = length[t]
+            if a == t:
+                self.orbits += 1
+                self.walk_sum -= min(lt, cap)
+            else:
+                b = end_of[t]
+                end_of[a] = b
+                start_of[b] = a
+                la = length[a]
+                length[a] = la + lt
+                self.walk_sum += min(la + lt, cap) - min(la, cap) - min(lt, cap)
+        return self.orbits + self.walk_sum // cap
+
+    def unlink(self, pairs) -> None:
+        start_of, end_of, length = self.start_of, self.end_of, self.length
+        for s, t in reversed(pairs):
+            a = start_of[s]
+            if a != t:
+                end_of[a] = s
+                start_of[end_of[t]] = t
+                length[a] -= length[t]
+        self.orbits, self.walk_sum = self.saved.pop()
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive treewidth
 # ---------------------------------------------------------------------------
@@ -173,7 +223,8 @@ def unpruned_min_genus(graph: Graph) -> tuple[int, int | None]:
 def brute_force_treewidth(graph: Graph) -> int:
     """Minimum over all elimination orderings of the maximum clique the
     elimination creates (n <= 9)."""
-    assert graph.n <= 9
+    if graph.n > 9:
+        raise ValueError(f"brute_force_treewidth: n = {graph.n} > 9 orderings is too many")
     best = graph.n - 1
     for order in itertools.permutations(graph.vertices):
         adj = {v: set(graph.neighbors(v)) for v in graph.vertices}
@@ -196,7 +247,8 @@ def subset_dp_treewidth(graph: Graph) -> int:
     """Treewidth by the full recurrence over all 2^n vertex subsets (the
     Bodlaender-Fomin-Koster-Kratsch-Thilikos recurrence): best[S] is the
     least width of an order eliminating S first (n <= 14)."""
-    assert graph.n <= 14
+    if graph.n > 14:
+        raise ValueError(f"subset_dp_treewidth: n = {graph.n} > 14 subsets is too many")
     vertices = list(graph.vertices)
     n = len(vertices)
     pos = {v: i for i, v in enumerate(vertices)}
@@ -253,7 +305,7 @@ def subset_dp_treewidth(graph: Graph) -> int:
 def _branches(tree: Graph, t0: int) -> list[list[int]]:
     """Node sets of the components of tree - t0."""
     rest = tree.subgraph([t for t in tree.vertices if t != t0])
-    return [sorted(c) for c in rest.components()]
+    return [sorted(c) for c in rest.components]
 
 
 def naive_balanced_1_separation(td: TreeDecomposition
@@ -572,7 +624,7 @@ def _cylinder(graph: Graph, emb: Embedding, c1: Sequence[int], c2: Sequence[int]
     cut2 = classify_cycle(cut1.graph, cut1.embedding, lifted).cut
 
     best = None
-    for comp in cut2.graph.components():
+    for comp in cut2.graph.components:
         piece = cut2.graph.subgraph(comp)
         if _count_copies(piece, cut2, cut1) == 1 and _count_copies2(piece, cut2) == 1:
             pemb = induced_embedding(cut2.embedding, piece)

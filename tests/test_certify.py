@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from surface_minors import genus_search
 from surface_minors.graph import Graph
 from surface_minors.embedding import Embedding
-from surface_minors.genus_search import Surface, embeddable_in
+from surface_minors.genus_search import DEFAULT_BUDGET, Surface, embeddable_in
 from surface_minors.certify import (CertificationError, MinorWitness, certificate_from_json,
                                     certificate_to_json, certify_excluded_minor,
                                     check_genus_range, verify_certificate)
@@ -61,6 +62,22 @@ def test_two_k33_certify_projective():
     # each component takes its own crosscap: 2K3,3 embeds in N2 = N1 # N1
     assert cert.genus_of_g == 2 and check_genus_range(cert)
     ok, why = verify_certificate(cert)
+    assert ok, why
+
+
+def test_k35_certifies_for_the_projective_plane_at_the_default_budget(monkeypatch):
+    # its one-step minor contract-edge (0, 3) has girth 3 and ran out of
+    # the default budget while the search bounded open faces by min_face
+    monkeypatch.delenv("SURFACE_MINORS_BUDGET", raising=False)
+    out = certify_excluded_minor(complete_bipartite(3, 5), N1)
+    assert out.certified
+    cert = out.certificate
+    assert cert.search["budget"] == DEFAULT_BUDGET
+    assert ("contract-edge", (0, 3)) in [w.op for w in cert.minors]
+    assert cert.genus_of_g == 2 and check_genus_range(cert)
+    text = certificate_to_json(cert)
+    monkeypatch.setattr(genus_search, "_profile_cache", {})
+    ok, why = verify_certificate(certificate_from_json(text))
     assert ok, why
 
 

@@ -1,24 +1,27 @@
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from surface_minors import genus_search
 from surface_minors.embedding import Embedding
 from surface_minors.graph import Graph, GraphError
-from surface_minors.genus_search import (DEFAULT_BUDGET, BudgetError, Surface, _FaceTracker,
-                                         _SearchSpace, cached_profile,
-                                         combined_minima, default_budget, embeddable_in,
-                                         genus_via_blocks, min_euler_genus)
+from surface_minors.genus_search import (DEFAULT_BUDGET, _SCALE, BudgetError, Surface,
+                                         _FaceTracker, _SearchSpace, _walk_bounds,
+                                         cached_profile, combined_minima, default_budget,
+                                         embeddable_in, genus_via_blocks, min_euler_genus)
 from conftest import (complete, complete_bipartite, cycle_graph, grid, minors_per_class, path_graph,
                       petersen, wheel)
-from oracles import (all_rotation_signatures, all_signature_min_genus, connected_graphs_up_to,
-                     naive_face_count, naive_genus, naive_is_orientable,
+from oracles import (MinFaceWalks, all_rotation_signatures, all_signature_min_genus,
+                     connected_graphs_up_to, naive_face_count, naive_genus, naive_is_orientable,
                      naive_orbit_lengths, unpruned_min_genus)
 
 
@@ -87,7 +90,7 @@ def test_minor_monotonicity_random_small():
     for g in rng.sample(graphs, 12):
         base = cached_profile(g).overall_min
         for _, m in minors_per_class(g):
-            for comp in m.components():
+            for comp in m.components:
                 sub = m.subgraph(comp)
                 assert cached_profile(sub).overall_min <= base
 
@@ -224,10 +227,15 @@ def cube() -> Graph:
     return Graph.build(range(8), [(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b])
 
 
-def _scratch_orbits(succ: dict[int, int], nstates: int, min_face: int) -> tuple[int, int]:
-    """(closed orbits, sum over open walks of min(length, min_face)) of a
-    partial successor map on range(nstates), by walking from every state
-    until it returns or leaves the map."""
+def _scratch_orbits(succ: dict[int, int], graph: Graph, min_face: int) -> tuple[int, int]:
+    """(closed orbits, sum over open walks of their weight) of a partial
+    successor map on the 4m states, by walking from every state until it
+    returns or leaves the map.  A walk of l states from state a to state
+    e weighs ceil(l * _SCALE / max(min_face, l + d)), with d the networkx
+    BFS distance from the head of e's dart to the tail of a's dart."""
+    nstates = 4 * graph.m
+    dist = dict(nx.all_pairs_shortest_path_length(graph.to_nx()))
+    ends = [e for u, v in graph.edges for e in ((u, v), (v, u))]  # (tail, head) per dart
     orbits = 0
     for s0 in succ:
         walk = [s0]
@@ -242,7 +250,8 @@ def _scratch_orbits(succ: dict[int, int], nstates: int, min_face: int) -> tuple[
         length, s = 1, s0
         while s in succ:
             length, s = length + 1, succ[s]
-        walk_sum += min(length, min_face)
+        d = dist[ends[s >> 1][1]][ends[s0 >> 1][0]]
+        walk_sum += math.ceil(Fraction(length * _SCALE, max(min_face, length + d)))
     return orbits, walk_sum
 
 
@@ -261,16 +270,18 @@ def test_face_tracker_matches_scratch_count():
             order = list(g.vertices)
             rng.shuffle(order)
             min_face = rng.choice((space.min_face, 2, 5))
-            tracker = _FaceTracker(nstates, min_face)
+            tracker = _FaceTracker(*_walk_bounds(g, min_face))
+            start = _scratch_orbits({}, g, min_face)
+            assert (tracker.orbits, tracker.walk_sum) == start
             succ: dict[int, int] = {}
             placed = []
             for v in order:
                 rot, pairs = rng.choice(space.choices(v, neg))
-                tracker.link(pairs)
+                bound = tracker.link(pairs)
                 succ.update(pairs)
                 placed.append((v, rot, pairs))
-                assert (tracker.orbits, tracker.walk_sum) == \
-                    _scratch_orbits(succ, nstates, min_face)
+                assert (tracker.orbits, tracker.walk_sum) == _scratch_orbits(succ, g, min_face)
+                assert bound == tracker.orbits + tracker.walk_sum // _SCALE
             assert tracker.walk_sum == 0
             rotation = {v: tuple(heads[d] for d in rot) for v, rot, _ in placed}
             assert tracker.orbits // 2 == naive_face_count(g, rotation, signature)
@@ -278,11 +289,43 @@ def test_face_tracker_matches_scratch_count():
                 tracker.unlink(pairs)
                 for s, _ in pairs:
                     del succ[s]
-                assert (tracker.orbits, tracker.walk_sum) == \
-                    _scratch_orbits(succ, nstates, min_face)
-            assert tracker.walk_sum == nstates
+                assert (tracker.orbits, tracker.walk_sum) == _scratch_orbits(succ, g, min_face)
+            assert (tracker.orbits, tracker.walk_sum) == start
             assert tracker.start_of == tracker.end_of == list(range(nstates))
             assert tracker.length == [1] * nstates
+
+
+def _min_face_rule(monkeypatch) -> None:
+    """Make the search prune with the earlier walk rule of the oracles."""
+    monkeypatch.setattr(_SearchSpace, "walk_bounds",
+                        property(lambda space: (4 * space.graph.m, space.min_face)))
+    monkeypatch.setattr(genus_search, "_FaceTracker", MinFaceWalks)
+
+
+def random_connected(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random tree on n vertices plus up to ``extra`` random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra)}
+    return Graph.build(range(n), edges)
+
+
+def test_distance_bound_never_explores_more_than_the_min_face_rule(monkeypatch):
+    # the distance bound is never weaker than min(length, min_face) and
+    # the search order is the same, so on every graph it finds the same
+    # minima with at most as many child evaluations (with weights exact
+    # up to orbit bounds of 16 states, and rounded up beyond)
+    rng = random.Random(26)
+    graphs = [random_connected(rng, rng.randint(5, 9), rng.randint(3, 12)) for _ in range(40)]
+    new = [min_euler_genus(g) for g in graphs]
+    _min_face_rule(monkeypatch)
+    old = [min_euler_genus(g) for g in graphs]
+    fewer = 0
+    for g, a, b in zip(graphs, new, old):
+        assert (a.orientable_min, a.nonorientable_min, a.exact) == \
+            (b.orientable_min, b.nonorientable_min, b.exact), g.edges
+        assert a.explored <= b.explored, g.edges
+        fewer += a.explored < b.explored
+    assert fewer >= len(graphs) // 2
 
 
 def test_min_face_bounds_every_facial_walk():
@@ -362,12 +405,14 @@ def test_one_search_per_side(monkeypatch):
 def test_k6_is_exact_at_the_default_budget():
     prof = min_euler_genus(complete(6), budget=DEFAULT_BUDGET)
     assert (prof.orientable_min, prof.nonorientable_min, prof.exact) == (2, 1, True)
+    assert prof.explored < 200_000
 
 
 def test_budget_keeps_the_witness_found_before_it_ran_out():
-    # K3,4 is (2, 1); at budget 1000 the nonorientable search has found a
-    # witness of genus 2, below the twisted warm start of genus 3
-    prof = min_euler_genus(complete_bipartite(3, 4), budget=1000)
+    # K3,4 is (2, 1) and exact after 333 child evaluations; at budget 300
+    # the nonorientable search has found a witness of genus 2, below the
+    # twisted warm start of genus 3, and not yet one of genus 1
+    prof = min_euler_genus(complete_bipartite(3, 4), budget=300)
     assert not prof.exact
     assert (prof.orientable_min, prof.nonorientable_min) == (2, 2)
     wit = prof.nonorientable_witness

@@ -308,7 +308,7 @@ def test_classify_cycle_matches_union_find_oracle():
 def _component_genus(emb: Embedding, v: int) -> int:
     """2 - V + E - F for the component of the graph that holds v."""
     g = emb.graph
-    comp = next(c for c in g.components() if v in c)
+    comp = next(c for c in g.components if v in c)
     edges = [e for e in g.edges if e[0] in comp]
     faces = [f for f in emb.faces() if f.vertex_set <= comp]
     return 2 - len(comp) + len(edges) - len(faces)
@@ -371,7 +371,7 @@ def test_intersection_components_match_graph_components():
         shared_v = vertices & set(cyc)
         shared_e = edges & {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
         want = [(comp, {e for e in shared_e if e[0] in comp})
-                for comp in Graph.build(shared_v, shared_e).components()]
+                for comp in Graph.build(shared_v, shared_e).components]
         runs = _intersection_components(cyc, vertices, edges)
         assert [(frozenset(run), es) for run, es in runs] == want, (cyc, vertices)
         # each run lists its vertices in their order along C: a path
